@@ -1,6 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper, plus
-// ablation benches for the methodology's design choices and
-// micro-benchmarks of the hot paths.
+// ablation benches for the methodology's design choices. Per-layer
+// costs of the scan hot path (codec, permutation walk, event loop, host
+// derivation, single-host probe) are measured by bench/ (bash
+// bench/run.sh --trace 1), not here.
 //
 // The experiment benches measure the cost of reproducing each result at
 // a reduced scan scale and report the headline quality metric alongside
@@ -14,14 +16,9 @@ import (
 	"iwscan/internal/analysis"
 	"iwscan/internal/core"
 	"iwscan/internal/experiments"
-	"iwscan/internal/httpsim"
 	"iwscan/internal/inet"
-	"iwscan/internal/netsim"
-	"iwscan/internal/scanner"
 	"iwscan/internal/stats"
-	"iwscan/internal/tcpstack"
 	"iwscan/internal/tlssim"
-	"iwscan/internal/wire"
 )
 
 // benchSample is the scan scale for the heavyweight experiment benches.
@@ -266,40 +263,6 @@ func BenchmarkAblationRepeats(b *testing.B) {
 	}
 }
 
-// --- micro-benchmarks of the hot paths ---------------------------------------
-
-// BenchmarkWireEncodeDecodeTCP measures the packet codec.
-func BenchmarkWireEncodeDecodeTCP(b *testing.B) {
-	src, dst := wire.Addr(0x0a000001), wire.Addr(0x0a000002)
-	h := wire.NewTCPHeader()
-	h.SrcPort = 12345
-	h.DstPort = 80
-	h.Flags = wire.FlagACK | wire.FlagPSH
-	h.Window = 65535
-	payload := make([]byte, 64)
-	buf := make([]byte, 0, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var dec wire.TCPHeader
-	for i := 0; i < b.N; i++ {
-		seg := wire.EncodeTCP(buf[:0], src, dst, h, payload)
-		if _, err := wire.DecodeTCPInto(&dec, src, dst, seg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPermutationNext measures the ZMap-style address iterator.
-func BenchmarkPermutationNext(b *testing.B) {
-	c := scanner.NewCycle(1<<32, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := c.Next(); !ok {
-			c = scanner.NewCycle(1<<32, 7)
-		}
-	}
-}
-
 // BenchmarkChainSample measures the Figure-2 chain-length sampler.
 func BenchmarkChainSample(b *testing.B) {
 	var d tlssim.ChainLenDist
@@ -307,67 +270,5 @@ func BenchmarkChainSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.SampleHash(rng.Uint64())
-	}
-}
-
-// BenchmarkProbeSingleTarget measures one complete HTTP IW inference
-// (6 probes, up to 12 connections) against one host, including the
-// virtual network.
-func BenchmarkProbeSingleTarget(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		net := netsim.New(uint64(i))
-		net.SetPath(netsim.PathParams{Delay: 10 * netsim.Millisecond})
-		addr := wire.MustParseAddr("198.51.100.10")
-		host := tcpstack.NewHost(net, addr, tcpstack.Config{
-			IW:  tcpstack.IWPolicy{Kind: tcpstack.IWSegments, Segments: 10},
-			MSS: tcpstack.MSSPolicy{Floor: 64},
-		})
-		host.Listen(80, httpsim.NewServer(httpsim.ServerConfig{Root: httpsim.BehaviorPage, PageLen: 8192}))
-		sc := core.NewScanner(net, wire.MustParseAddr("192.0.2.1"), core.Config{Seed: uint64(i)})
-		done := false
-		sc.ProbeTarget(addr, core.TargetConfig{Strategy: core.StrategyHTTP}, func(tr *core.TargetResult) {
-			done = tr.Outcome == core.OutcomeSuccess
-		})
-		net.RunUntilIdle()
-		if !done {
-			b.Fatal("probe failed")
-		}
-	}
-}
-
-// BenchmarkNetsimEventThroughput measures raw event-loop throughput:
-// pooled packet delivery between two nodes.
-func BenchmarkNetsimEventThroughput(b *testing.B) {
-	net := netsim.New(1)
-	net.SetPath(netsim.PathParams{Delay: netsim.Millisecond})
-	dst := wire.Addr(2)
-	net.Register(dst, nopNode{})
-	hdr := &wire.IPv4Header{Protocol: wire.ProtoTCP, Src: 1, Dst: dst}
-	payload := make([]byte, 40)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := net.GetPacket()
-		p.B = wire.EncodeIPv4(p.B, hdr, payload)
-		net.SendPacket(p)
-		if i%1024 == 1023 {
-			net.RunUntilIdle()
-		}
-	}
-	net.RunUntilIdle()
-}
-
-type nopNode struct{}
-
-func (nopNode) HandlePacket([]byte) {}
-
-// BenchmarkHostDerivation measures lazy host-spec derivation, the inner
-// loop of universe materialization.
-func BenchmarkHostDerivation(b *testing.B) {
-	u := inet.NewInternet2017(2017)
-	p := u.Prefixes()[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u.HostAt(p.Nth(uint64(i) % p.Size()))
 	}
 }

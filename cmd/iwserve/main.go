@@ -54,16 +54,6 @@
 //	curl -s localhost:8070/scheduler | jq .tenants
 //	curl -sN localhost:8070/events/watch?from=1   # SSE replay + live tail
 //	iwtrace jobs -validate serve/events/events.jsonl
-//
-// The -smoke flag runs a self-contained two-tenant scenario against a
-// real listener (submit at 3:1 weights, pause and resume one job
-// mid-flight, verify fair-share convergence and byte-identical output)
-// and exits non-zero on any violation; `make serve-smoke` wires it into
-// the repo's checks. The -events-smoke flag runs the observability
-// scenario instead (lifecycle watched purely over SSE, a mid-scenario
-// restart with sequence continuation, artifact byte-identity with the
-// journal armed); `make events-smoke` wires it in and validates the
-// journal it leaves behind with `iwtrace jobs -validate`.
 package main
 
 import (
@@ -92,8 +82,6 @@ func main() {
 		slice       = flag.Duration("slice", 10*time.Second, "virtual-time length of one scheduling segment (pause/cancel granularity)")
 		eventsDir   = flag.String("events", "", "event-journal directory (default <state>/events; empty string for the default, \"off\" to disarm)")
 		heartbeat   = flag.Duration("heartbeat", 5*time.Second, "SSE heartbeat interval for /events/watch streams")
-		smoke       = flag.Bool("smoke", false, "run the two-tenant smoke scenario against a real listener and exit")
-		eventsSmoke = flag.Bool("events-smoke", false, "run the observability smoke scenario (SSE lifecycle watch, restart continuity, journal validity) and exit")
 	)
 	flag.Parse()
 
@@ -102,23 +90,6 @@ func main() {
 		BudgetPPS:     *budget,
 		MaxConcurrent: *concurrency,
 		SliceVirtual:  netsim.Time(*slice),
-	}
-
-	if *smoke {
-		if err := runSmoke(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "smoke: FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("smoke: OK")
-		return
-	}
-	if *eventsSmoke {
-		if err := runEventsSmoke(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "events-smoke: FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("events-smoke: OK")
-		return
 	}
 
 	// Arm the journal before anything else touches the state directory:

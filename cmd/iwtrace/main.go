@@ -49,8 +49,7 @@
 //	    filtered to one job with -job. -validate additionally enforces
 //	    the journal invariants (contiguous sequences, legal lifecycle
 //	    edges, balanced spans, dispatch audits present — see
-//	    jobs.ValidateJournal) and that the trace export parses; the
-//	    make events-smoke gate runs it with -min-dispatch 1.
+//	    jobs.ValidateJournal) and that the trace export parses.
 package main
 
 import (

@@ -57,12 +57,6 @@ func RunScanParallelChecked(u *inet.Universe, cfg ScanConfig, shards int) (*Scan
 		// and telemetry work fine under parallel.
 		return nil, fmt.Errorf("the flight recorder is per scan instance; run serially or shard across separate runs")
 	}
-	if len(cfg.Filters) > 0 {
-		// A netsim.Filter may keep per-flow state (TailLossFilter does);
-		// sharing one instance across concurrently running simulations is
-		// a data race. FilterFactories builds a fresh instance per shard.
-		return nil, fmt.Errorf("cfg.Filters would be shared across concurrent shards; use FilterFactories instead")
-	}
 	if cfg.CheckpointPath != "" || cfg.Resume != nil {
 		// A checkpoint cursor is consistent with one engine's own output
 		// frontier; in-process parallel shards share one sink whose
@@ -142,6 +136,7 @@ func RunScanParallelChecked(u *inet.Universe, cfg ScanConfig, shards int) (*Scan
 		merged.Engine.Launched += r.Engine.Launched
 		merged.Engine.Completed += r.Engine.Completed
 		merged.Engine.Skipped += r.Engine.Skipped
+		merged.Engine.Pruned += r.Engine.Pruned
 		merged.Engine.Retries += r.Engine.Retries
 		merged.Net.PacketsSent += r.Net.PacketsSent
 		merged.Net.PacketsDelivered += r.Net.PacketsDelivered

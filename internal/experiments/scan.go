@@ -48,13 +48,10 @@ type ScanConfig struct {
 	// Ablation knobs (§3.2 fallbacks).
 	NoRedirectFollow bool
 	NoBloat          bool
-	// Trace, when set, is installed as a network filter (e.g. a
-	// trace.Recorder's Filter for packet capture).
-	Trace netsim.Filter
-	// PcapRecorder, when set, captures packets like Trace but lets the
-	// run bind the recorder's drop counter into its metrics registry
-	// (the registry is created inside the run, so a bare Trace filter
-	// cannot reach it).
+	// PcapRecorder, when set, captures packets through a network
+	// filter and has its drop counter bound into the run's metrics
+	// registry (the registry is created inside the run, so the caller
+	// cannot bind it beforehand).
 	PcapRecorder *trace.Recorder
 	// Flight, when set, attaches a per-probe flight recorder: it
 	// becomes the network's observer and the scanner's estimator sink,
@@ -77,16 +74,11 @@ type ScanConfig struct {
 	// the validation harness dial in reordering, duplication and jitter
 	// on top of loss. When Path is set the Loss field is ignored.
 	Path *netsim.PathParams
-	// Filters are additional packet filters installed before the scan
-	// starts (deterministic impairments such as netsim.TailLossFilter).
-	// Stateful filters must not be shared across parallel shards: each
-	// shard runs its own simulation concurrently.
-	Filters []netsim.Filter
-	// FilterFactories build additional filters inside each run, one
-	// fresh instance per simulation — the safe way to install stateful
-	// impairments (TailLossFilter keeps per-flow state) under
-	// RunScanParallel, where cfg.Filters would be shared across
-	// concurrently running shards.
+	// FilterFactories build additional packet filters inside each run
+	// (deterministic impairments such as netsim.TailLossFilter), one
+	// fresh instance per simulation: filters may keep per-flow state
+	// (TailLossFilter does), and under RunScanParallel every shard runs
+	// its own simulation concurrently.
 	FilterFactories []func() netsim.Filter
 	// Timeseries, when set, attaches a telemetry sampler to the run: the
 	// store's configured virtual-time cadence snapshots the registry into
@@ -299,15 +291,9 @@ func RunScanChecked(u *inet.Universe, cfg ScanConfig) (*ScanResult, error) {
 		n.SetPath(netsim.PathParams{Delay: 10 * netsim.Millisecond, Jitter: 2 * netsim.Millisecond, Loss: cfg.Loss})
 	}
 	n.SetFactory(u)
-	if cfg.Trace != nil {
-		n.AddFilter(cfg.Trace)
-	}
 	if cfg.PcapRecorder != nil {
 		cfg.PcapRecorder.BindMetrics(n.Metrics())
 		n.AddFilter(cfg.PcapRecorder.Filter())
-	}
-	for _, f := range cfg.Filters {
-		n.AddFilter(f)
 	}
 	for _, mk := range cfg.FilterFactories {
 		n.AddFilter(mk())

@@ -128,6 +128,15 @@ func TestSmartScanSavesProbesKeepsHosts(t *testing.T) {
 	if saved < 0.30 {
 		t.Fatalf("smart rescan saved only %.1f%% of probes, want >= 30%%", 100*saved)
 	}
+
+	// The parallel fold must report what the shards pruned.
+	parRes, err := RunScanParallelChecked(u, smart, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := parRes.Engine.Pruned, smartRes.Engine.Pruned; got != want || want == 0 {
+		t.Fatalf("2-shard smart scan reports %d pruned, serial %d (want equal and > 0)", got, want)
+	}
 }
 
 // TestSmartResumeByteIdentical extends the resume-identity guarantee to
@@ -258,6 +267,10 @@ func TestHitlistScanDeterministic(t *testing.T) {
 	hl := prefixtree.Hitlist(res.Records)
 	if len(hl) == 0 {
 		t.Fatal("training run found no responsive hosts")
+	}
+	if limit := 0.7 * float64(res.Engine.Launched); float64(len(hl)) > limit {
+		t.Fatalf("hitlist has %d addresses, want <= 70%% of the training scan's %d launches",
+			len(hl), res.Engine.Launched)
 	}
 
 	run := func() []byte {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"iwscan/internal/core"
@@ -117,22 +116,15 @@ func TestParallelTelemetryPerShard(t *testing.T) {
 	}
 }
 
-// TestParallelFilterPolicy: shared stateful filters are rejected under
-// parallel; per-shard factories are the supported route.
+// TestParallelFilterPolicy: per-shard filter factories are how stateful
+// impairments run under parallel.
 func TestParallelFilterPolicy(t *testing.T) {
 	u := inet.NewInternet2017(77)
 	cfg := ScanConfig{
 		Seed: 5, Strategy: core.StrategyHTTP, SampleFraction: 0.001,
-		Filters: []netsim.Filter{netsim.TailLossFilter(5, 0.3)},
-	}
-	if _, err := RunScanParallelChecked(u, cfg, 2); err == nil ||
-		!strings.Contains(err.Error(), "FilterFactories") {
-		t.Fatalf("shared filters under parallel: err = %v, want rejection pointing at FilterFactories", err)
-	}
-
-	cfg.Filters = nil
-	cfg.FilterFactories = []func() netsim.Filter{
-		func() netsim.Filter { return netsim.TailLossFilter(5, 0.3) },
+		FilterFactories: []func() netsim.Filter{
+			func() netsim.Filter { return netsim.TailLossFilter(5, 0.3) },
+		},
 	}
 	par, err := RunScanParallelChecked(u, cfg, 2)
 	if err != nil {
@@ -142,12 +134,7 @@ func TestParallelFilterPolicy(t *testing.T) {
 	// Each shard built its own filter instance over its own slice of the
 	// permutation; the merged result must match the serial run with the
 	// same (single-instance) filter.
-	serial := RunScan(u, ScanConfig{
-		Seed: 5, Strategy: core.StrategyHTTP, SampleFraction: 0.001,
-		FilterFactories: []func() netsim.Filter{
-			func() netsim.Filter { return netsim.TailLossFilter(5, 0.3) },
-		},
-	})
+	serial := RunScan(u, cfg)
 	if len(par.Records) != len(serial.Records) {
 		t.Fatalf("parallel filtered scan has %d records, serial %d", len(par.Records), len(serial.Records))
 	}

@@ -2,6 +2,8 @@ package jobs
 
 import (
 	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -74,11 +76,27 @@ func waitJob(t *testing.T, m *Manager, id, what string, pred func(JobView) bool)
 	return JobView{}
 }
 
+// postOK sends one lifecycle verb through the manager's HTTP API, as a
+// client of the daemon would, and requires a 200.
+func postOK(t *testing.T, m *Manager, path string) {
+	t.Helper()
+	srv := httptest.NewServer(NewServer(m).Handler())
+	defer srv.Close()
+	resp, err := srv.Client().Post(srv.URL+path, "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: HTTP %d, want 200", path, resp.StatusCode)
+	}
+}
+
 // TestPauseResumeRestartByteIdentical is the tentpole acceptance test:
-// a job paused mid-flight, interrupted by two daemon restarts (one of
-// them with a torn artifact tail from a simulated mid-segment crash),
-// and resumed must produce an artifact byte-identical to the same scan
-// run uninterrupted.
+// a job paused mid-flight and resumed over HTTP, interrupted by two
+// daemon restarts (one of them with a torn artifact tail from a
+// simulated mid-segment crash), must produce an artifact byte-identical
+// to the same scan run uninterrupted.
 func TestPauseResumeRestartByteIdentical(t *testing.T) {
 	spec := testSpec()
 	want := referenceBytes(t, spec)
@@ -93,9 +111,7 @@ func TestPauseResumeRestartByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := v.ID
-	if _, err := m1.Pause(id); err != nil {
-		t.Fatal(err)
-	}
+	postOK(t, m1, "/jobs/"+id+"/pause")
 	paused := waitJob(t, m1, id, "pause point", func(v JobView) bool {
 		return v.State == StatePaused
 	})
@@ -137,9 +153,7 @@ func TestPauseResumeRestartByteIdentical(t *testing.T) {
 		t.Fatalf("recovery did not roll the torn artifact back to %d bytes (have %d)",
 			len(part), len(got))
 	}
-	if _, err := m2.Resume(id); err != nil {
-		t.Fatal(err)
-	}
+	postOK(t, m2, "/jobs/"+id+"/resume")
 	// Let it make more progress, then restart mid-run: Close drains the
 	// executing segment to its pause point and the job re-queues on the
 	// next start.

@@ -99,7 +99,9 @@ func RunSweep(u *inet.Universe, cfg SweepConfig) ([]SweepPoint, error) {
 			Path:           &path,
 		}
 		if cond.TailLoss > 0 {
-			sc.Filters = []netsim.Filter{netsim.TailLossFilter(cfg.Seed, cond.TailLoss)}
+			sc.FilterFactories = []func() netsim.Filter{
+				func() netsim.Filter { return netsim.TailLossFilter(cfg.Seed, cond.TailLoss) },
+			}
 		}
 		res, err := experiments.RunScanChecked(u, sc)
 		if err != nil {
