@@ -45,12 +45,17 @@ test:
 # the race pass guards the remaining cross-shard surfaces: the k-way
 # merge, the timeseries store, the debug server, and the jobs
 # scheduler; the experiments stress tests hammer them with concurrent
-# parallel scans, checkpoint interrupts, and live scrapes).
+# parallel scans, checkpoint interrupts, and live scrapes). httpsim and
+# tlssim are here for their response memos: a Server's memoised wire
+# bytes are unsynchronised by contract (one Server, one Host, one
+# Network, one goroutine), and their tests replay one Server across
+# connections, so a second writer would show up as a race.
 race:
 	$(GO) test -race ./internal/metrics/... ./internal/core/... \
 		./internal/scanner/... ./internal/output/... ./internal/experiments/... \
 		./internal/netsim/... ./internal/tcpstack/... ./internal/flight/... \
-		./internal/timeseries/... ./internal/jobs/... ./internal/events/...
+		./internal/timeseries/... ./internal/jobs/... ./internal/events/... \
+		./internal/httpsim/... ./internal/tlssim/...
 
 # cover writes one aggregate coverage profile across every package to
 # $(VALIDATE_OUT)/cover.out (CI uploads it) plus an HTML render, and

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // coverage tracks which byte ranges of the server's response stream have
 // been received, so the prober can distinguish new data, reordered data
 // (a hole that later fills), retransmissions (a fully covered range
@@ -50,34 +52,25 @@ func (c *coverage) covered(start, end int) bool {
 	return false
 }
 
-// insert merges [start, end) into the interval set.
+// insert merges [start, end) into the interval set in place: the
+// intervals it overlaps or touches collapse into one, the rest shift,
+// and the backing array is reallocated only when the set grows past it.
 func (c *coverage) insert(start, end int) {
-	var out [][2]int
-	placed := false
-	for _, iv := range c.ivals {
-		switch {
-		case iv[1] < start:
-			out = append(out, iv)
-		case end < iv[0]:
-			if !placed {
-				out = append(out, [2]int{start, end})
-				placed = true
-			}
-			out = append(out, iv)
-		default:
-			// Overlapping or adjacent: merge.
-			if iv[0] < start {
-				start = iv[0]
-			}
-			if iv[1] > end {
-				end = iv[1]
-			}
-		}
+	// ivals[lo:hi] are the intervals that overlap or touch [start, end).
+	lo := 0
+	for lo < len(c.ivals) && c.ivals[lo][1] < start {
+		lo++
 	}
-	if !placed {
-		out = append(out, [2]int{start, end})
+	hi := lo
+	for hi < len(c.ivals) && c.ivals[hi][0] <= end {
+		hi++
 	}
-	c.ivals = out
+	if lo == hi {
+		c.ivals = slices.Insert(c.ivals, lo, [2]int{start, end})
+		return
+	}
+	c.ivals[lo] = [2]int{min(start, c.ivals[lo][0]), max(end, c.ivals[hi-1][1])}
+	c.ivals = slices.Delete(c.ivals, lo+1, hi)
 }
 
 // contiguous returns the end of the contiguous prefix starting at 0.

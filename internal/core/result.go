@@ -71,7 +71,7 @@ type ProbeResult struct {
 	SawFIN   bool
 	Reorder  bool   // a sequence hole was later filled (reordering)
 	Gap      bool   // a sequence hole remained (loss)
-	Head     []byte // reassembled response prefix, for redirect parsing
+	Head     []byte // reassembled response prefix of an HTTP probe's first GET, for redirect parsing
 	Err      string
 }
 

@@ -112,6 +112,7 @@ type Scanner struct {
 	cm     coreMetrics
 	tracer *metrics.Tracer
 	fl     FlightSink // nil unless a flight recorder is attached
+	bloat  string     // the last httpsim.BloatedPath built, by its length
 }
 
 // NewScanner creates a scanner at addr and registers it with the
@@ -210,6 +211,8 @@ type probeSpec struct {
 	dstPort uint16
 	mss     int
 	payload []byte // the request sent with the handshake-completing ACK
+	// keepHead retains the response prefix in ProbeResult.Head.
+	keepHead bool
 	// synOnly runs a plain ZMap-style port scan: SYN, then RST the
 	// SYN-ACK (§3.4's baseline for the efficiency comparison).
 	synOnly bool
@@ -226,6 +229,7 @@ func (s *Scanner) startProbe(spec probeSpec, done func(ProbeResult)) {
 		localPort: s.allocPort(),
 		mss:       spec.mss,
 		payload:   spec.payload,
+		keepHead:  spec.keepHead,
 		synOnly:   spec.synOnly,
 		isn:       s.rng.Uint32(),
 		done:      done,
@@ -242,6 +246,7 @@ type connProbe struct {
 	localPort uint16
 	mss       int
 	payload   []byte
+	keepHead  bool
 	synOnly   bool
 
 	state probeState
@@ -274,7 +279,11 @@ const (
 
 func (c *connProbe) start() {
 	c.synAt = c.sc.net.Now()
-	c.traceID = c.sc.tracer.Begin(c.target.String(), "syn_sent", int64(c.synAt))
+	label := ""
+	if c.sc.tracer.Retains() {
+		label = c.target.String()
+	}
+	c.traceID = c.sc.tracer.Begin(label, "syn_sent", int64(c.synAt))
 	if fl := c.sc.fl; fl != nil {
 		fl.ProbePhase(c.synAt, c.target, "syn_sent")
 		fl.ProbeStep(c.synAt, c.target, "syn_options", int64(c.mss), int64(c.sc.cfg.Window))
@@ -469,10 +478,11 @@ func (c *connProbe) collect(tcp *wire.TCPHeader, data []byte) {
 	}
 }
 
-// record copies payload into the head buffer for later HTTP parsing.
+// record copies payload into the head buffer for later HTTP parsing,
+// on the one connection of a probe whose head is parsed.
 func (c *connProbe) record(off int, data []byte) {
 	cap := c.sc.cfg.HeadCap
-	if off >= cap {
+	if !c.keepHead || off >= cap {
 		return
 	}
 	end := off + len(data)

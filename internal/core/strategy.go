@@ -142,8 +142,8 @@ func (s *Scanner) httpProbe(target wire.Addr, cfg TargetConfig, mss int, done fu
 	if host == "" {
 		host = target.String() // only the IP is known Internet-wide
 	}
-	first := httpsim.BuildRequest("/", host, "Connection", "close", "Accept", "*/*")
-	s.startProbe(probeSpec{target: target, dstPort: cfg.Port, mss: mss, payload: first}, func(r1 ProbeResult) {
+	first := httpsim.AppendRequest(nil, "/", host, "Connection", "close", "Accept", "*/*")
+	s.startProbe(probeSpec{target: target, dstPort: cfg.Port, mss: mss, payload: first, keepHead: true}, func(r1 ProbeResult) {
 		if r1.Outcome == OutcomeSuccess || r1.Outcome == OutcomeUnreachable {
 			done(r1)
 			return
@@ -155,7 +155,7 @@ func (s *Scanner) httpProbe(target wire.Addr, cfg TargetConfig, mss int, done fu
 			if locHost == "" {
 				locHost = host
 			}
-			req := httpsim.BuildRequest(locPath, locHost, "Connection", "close", "Accept", "*/*")
+			req := httpsim.AppendRequest(nil, locPath, locHost, "Connection", "close", "Accept", "*/*")
 			s.startProbe(probeSpec{target: target, dstPort: cfg.Port, mss: mss, payload: req}, func(r2 ProbeResult) {
 				done(betterProbe(r1, r2))
 			})
@@ -166,7 +166,10 @@ func (s *Scanner) httpProbe(target wire.Addr, cfg TargetConfig, mss int, done fu
 			return
 		}
 		// Bloat the URI to enlarge a 404 error page.
-		bloated := httpsim.BuildRequest(httpsim.BloatedPath(cfg.BloatLen), host, "Connection", "close")
+		if len(s.bloat) != cfg.BloatLen {
+			s.bloat = httpsim.BloatedPath(cfg.BloatLen)
+		}
+		bloated := httpsim.AppendRequest(nil, s.bloat, host, "Connection", "close")
 		s.startProbe(probeSpec{target: target, dstPort: cfg.Port, mss: mss, payload: bloated}, func(r2 ProbeResult) {
 			done(betterProbe(r1, r2))
 		})

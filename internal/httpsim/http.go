@@ -8,6 +8,7 @@
 package httpsim
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -29,7 +30,9 @@ func (r *Request) Header(name string) string {
 
 // ParseRequest parses a complete request head from b. It returns nil
 // (and no error) when the head is not yet complete, so callers can feed
-// it a growing buffer.
+// it a growing buffer. It copies b twice and builds a map; the server
+// parses in place with parseRequestHead, and this function is the
+// reference that parser is fuzzed against.
 func ParseRequest(b []byte) (*Request, error) {
 	head, ok := splitHead(b)
 	if !ok {
@@ -69,8 +72,96 @@ func splitHead(b []byte) (string, bool) {
 	return string(b[:i]), true
 }
 
+// requestHead is what the server needs of a request: sub-slices of the
+// buffer it was parsed from, valid only as long as that buffer is.
+type requestHead struct {
+	path, host, connection []byte
+}
+
+var headEnd = []byte("\r\n\r\n")
+
+// parseRequestHead is ParseRequest without the copies: it finds the end
+// of the head at or after offset from (callers that feed a growing
+// buffer pass the length already searched, less three) and parses the
+// head where it lies. complete is false while the blank line is still
+// missing; err reports exactly the heads ParseRequest rejects.
+func parseRequestHead(b []byte, from int) (req requestHead, complete bool, err error) {
+	end := bytes.Index(b[from:], headEnd)
+	if end < 0 {
+		return req, false, nil
+	}
+	head := b[:from+end]
+	line, rest, _ := bytes.Cut(head, headEnd[:2])
+	method, after, ok1 := bytes.Cut(line, []byte(" "))
+	path, proto, ok2 := bytes.Cut(after, []byte(" "))
+	if !ok1 || !ok2 || len(method) == 0 || len(path) == 0 || len(proto) == 0 {
+		return req, true, fmt.Errorf("httpsim: malformed request line %q", line)
+	}
+	req.path = path
+	for len(rest) > 0 {
+		line, rest, _ = bytes.Cut(rest, headEnd[:2])
+		if len(line) == 0 {
+			continue
+		}
+		k, v, found := bytes.Cut(line, []byte(":"))
+		if !found {
+			return req, true, fmt.Errorf("httpsim: malformed header %q", line)
+		}
+		// The last of several equal names wins, as in ParseRequest's map.
+		switch k = bytes.TrimSpace(k); {
+		case headerIs(k, "host"):
+			req.host = bytes.TrimSpace(v)
+		case headerIs(k, "connection"):
+			req.connection = bytes.TrimSpace(v)
+		}
+	}
+	return req, true, nil
+}
+
+// headerIs reports whether strings.ToLower(k) == name, for a lower-case
+// ASCII name. Only a name with non-ASCII bytes takes the copying route:
+// ToLower folds a few of those to ASCII letters (U+0130 to 'i').
+func headerIs(k []byte, name string) bool {
+	for _, c := range k {
+		if c >= 0x80 {
+			return strings.ToLower(string(k)) == name
+		}
+	}
+	return len(k) == len(name) && hasPrefixFold(k, name)
+}
+
+// containsFold reports whether strings.ToLower(b) contains sub, for a
+// lower-case ASCII sub without 'i' or 'k' (the ASCII letters ToLower
+// can produce from non-ASCII input).
+func containsFold(b []byte, sub string) bool {
+	for ; len(b) >= len(sub); b = b[1:] {
+		if hasPrefixFold(b, sub) {
+			return true
+		}
+	}
+	return false
+}
+
+// hasPrefixFold reports whether b starts with the lower-case ASCII
+// prefix, ignoring ASCII case. len(b) >= len(prefix) must hold.
+func hasPrefixFold(b []byte, prefix string) bool {
+	for i := 0; i < len(prefix); i++ {
+		c := b[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != prefix[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // BuildRequest renders a GET request with the given path and headers.
-// Header order is deterministic (host, then the rest as given).
+// Header order is deterministic (host, then the rest as given). The
+// scanner uses AppendRequest, which renders the same bytes into one
+// exact-size buffer; this function is the reference it is tested
+// against.
 func BuildRequest(path, host string, extra ...string) []byte {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "GET %s HTTP/1.1\r\n", path)
@@ -80,6 +171,36 @@ func BuildRequest(path, host string, extra ...string) []byte {
 	}
 	sb.WriteString("\r\n")
 	return []byte(sb.String())
+}
+
+// AppendRequest appends the bytes BuildRequest renders to dst, growing
+// it at most once, to the exact size.
+func AppendRequest(dst []byte, path, host string, extra ...string) []byte {
+	n := len("GET  HTTP/1.1\r\nHost: \r\n\r\n") + len(path) + len(host)
+	for i := 0; i+1 < len(extra); i += 2 {
+		n += len(extra[i]) + len(": \r\n") + len(extra[i+1])
+	}
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	dst = append(dst, "GET "...)
+	dst = append(dst, path...)
+	dst = append(dst, " HTTP/1.1\r\nHost: "...)
+	dst = append(dst, host...)
+	dst = append(dst, "\r\n"...)
+	return append(appendHeaders(dst, extra), "\r\n"...)
+}
+
+// appendHeaders appends "name: value\r\n" for each pair; a name left
+// without a value is dropped, as the Build functions drop it.
+func appendHeaders(dst []byte, pairs []string) []byte {
+	for i := 0; i+1 < len(pairs); i += 2 {
+		dst = append(dst, pairs[i]...)
+		dst = append(dst, ": "...)
+		dst = append(dst, pairs[i+1]...)
+		dst = append(dst, "\r\n"...)
+	}
+	return dst
 }
 
 // ResponseHead is the parsed beginning of an HTTP response. The scanner
@@ -99,41 +220,42 @@ type ResponseHead struct {
 // response prefix. It returns nil if b does not start like an HTTP
 // response.
 func ParseResponseHead(b []byte) *ResponseHead {
-	s := string(b)
-	if !strings.HasPrefix(s, "HTTP/") {
-		if len(s) < 5 && strings.HasPrefix("HTTP/", s) {
+	const magic = "HTTP/"
+	if !bytes.HasPrefix(b, []byte(magic)) {
+		if len(b) < len(magic) && strings.HasPrefix(magic, string(b)) {
 			// Too short to tell; treat as "not yet".
 			return &ResponseHead{ContentLen: -1}
 		}
 		return nil
 	}
 	h := &ResponseHead{ContentLen: -1}
-	head, complete := splitHead(b)
-	h.Complete = complete
-	if !complete {
-		head = s
+	head := b
+	if end := bytes.Index(b, headEnd); end >= 0 {
+		h.Complete = true
+		head = b[:end]
 	}
-	lines := strings.Split(head, "\r\n")
 	// Status line: HTTP/1.1 301 Moved Permanently
-	parts := strings.SplitN(lines[0], " ", 3)
-	if len(parts) >= 2 {
-		if code, err := strconv.Atoi(parts[1]); err == nil {
-			h.StatusCode = code
+	line, rest, _ := bytes.Cut(head, headEnd[:2])
+	if _, after, ok := bytes.Cut(line, []byte(" ")); ok {
+		code, _, _ := bytes.Cut(after, []byte(" "))
+		if n, err := strconv.Atoi(string(code)); err == nil {
+			h.StatusCode = n
 		}
 	}
-	for _, l := range lines[1:] {
-		k, v, found := strings.Cut(l, ":")
+	for len(rest) > 0 {
+		line, rest, _ = bytes.Cut(rest, headEnd[:2])
+		k, v, found := bytes.Cut(line, []byte(":"))
 		if !found {
 			continue
 		}
-		v = strings.TrimSpace(v)
-		switch strings.ToLower(strings.TrimSpace(k)) {
-		case "location":
-			h.Location = v
-		case "connection":
-			h.Connection = strings.ToLower(v)
-		case "content-length":
-			if n, err := strconv.Atoi(v); err == nil {
+		v = bytes.TrimSpace(v)
+		switch k = bytes.TrimSpace(k); {
+		case headerIs(k, "location"):
+			h.Location = string(v)
+		case headerIs(k, "connection"):
+			h.Connection = strings.ToLower(string(v))
+		case headerIs(k, "content-length"):
+			if n, err := strconv.Atoi(string(v)); err == nil {
 				h.ContentLen = n
 			}
 		}
@@ -164,7 +286,10 @@ func ParseURI(uri string) (host, path string) {
 	return host, "/" + path
 }
 
-// BuildResponse renders a response with deterministic header order.
+// BuildResponse renders a response with deterministic header order. The
+// server renders its responses with appendResponseHead, once and into
+// one buffer; this function is the reference those bytes are tested
+// against.
 func BuildResponse(code int, reason string, body []byte, headers ...string) []byte {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "HTTP/1.1 %d %s\r\n", code, reason)
@@ -175,4 +300,18 @@ func BuildResponse(code int, reason string, body []byte, headers ...string) []by
 	sb.WriteString("Connection: close\r\n\r\n")
 	out := []byte(sb.String())
 	return append(out, body...)
+}
+
+// appendResponseHead appends the head BuildResponse renders for a body
+// of bodyLen bytes.
+func appendResponseHead(dst []byte, code int, reason string, bodyLen int, headers ...string) []byte {
+	dst = append(dst, "HTTP/1.1 "...)
+	dst = strconv.AppendInt(dst, int64(code), 10)
+	dst = append(dst, ' ')
+	dst = append(dst, reason...)
+	dst = append(dst, "\r\n"...)
+	dst = appendHeaders(dst, headers)
+	dst = append(dst, "Content-Length: "...)
+	dst = strconv.AppendInt(dst, int64(bodyLen), 10)
+	return append(dst, "\r\nConnection: close\r\n\r\n"...)
 }

@@ -37,7 +37,10 @@ func (t *ProbeTrace) Duration() int64 {
 //
 // Aggregation is always on; full traces are retained only when SetKeep
 // enables a ring buffer (for debugging and the pcap-style dump tools),
-// so tracing millions of probes stays O(1) in memory by default.
+// so tracing millions of probes stays O(1) in memory by default. With
+// retention off a trace is one value in the active map — when it began
+// and its latest event — and every registry handle is resolved once,
+// so a warm Begin/Phase/End cycle allocates nothing.
 type Tracer struct {
 	reg    *Registry
 	prefix string
@@ -50,9 +53,26 @@ type Tracer struct {
 
 	mu     sync.Mutex
 	nextID uint64
-	active map[uint64]*ProbeTrace
+	active map[uint64]activeTrace
 	keep   int
 	ring   []ProbeTrace
+
+	// Registry handles, resolved on first use and not up front: the
+	// registry creates a metric when it is first asked for and a
+	// snapshot lists what exists, so a tracer reports only what it saw.
+	phases   map[[2]string]*Histogram // by (from, to)
+	outcomes map[string]*Counter      // by taxon
+	lifetime *Histogram
+}
+
+// activeTrace is a trace between Begin and End.
+type activeTrace struct {
+	label string
+	begun int64
+	last  PhaseEvent
+	// events is every event so far, or nil for a trace begun while
+	// retention was off: such a trace is aggregated but never retained.
+	events []PhaseEvent
 }
 
 // NewTracer creates a tracer that aggregates into reg under the given
@@ -63,7 +83,9 @@ func NewTracer(reg *Registry, prefix string) *Tracer {
 		prefix:   prefix,
 		evicted:  reg.Counter(prefix + ".traces_evicted"),
 		retained: reg.Gauge(prefix + ".traces_retained"),
-		active:   make(map[uint64]*ProbeTrace),
+		active:   make(map[uint64]activeTrace),
+		phases:   make(map[[2]string]*Histogram),
+		outcomes: make(map[string]*Counter),
 	}
 }
 
@@ -82,58 +104,82 @@ func (t *Tracer) SetKeep(n int) {
 	t.retained.Set(int64(len(t.ring)))
 }
 
+// Retains reports whether completed traces are being retained, so a
+// caller can skip formatting a label nobody will read.
+func (t *Tracer) Retains() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.keep > 0
+}
+
 // Begin starts a trace in the given initial phase and returns its ID.
 func (t *Tracer) Begin(label, phase string, at int64) uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.nextID++
-	id := t.nextID
-	t.active[id] = &ProbeTrace{
-		ID:     id,
-		Label:  label,
-		Events: []PhaseEvent{{Phase: phase, At: at}},
+	tr := activeTrace{label: label, begun: at, last: PhaseEvent{Phase: phase, At: at}}
+	if t.keep > 0 {
+		tr.events = []PhaseEvent{tr.last}
 	}
-	return id
+	t.active[t.nextID] = tr
+	return t.nextID
 }
 
 // Phase records a transition into phase at virtual time at. Unknown IDs
 // (already ended) are ignored so callers need no teardown ordering.
 func (t *Tracer) Phase(id uint64, phase string, at int64) {
 	t.mu.Lock()
-	tr := t.active[id]
-	if tr == nil {
+	tr, ok := t.active[id]
+	if !ok {
 		t.mu.Unlock()
 		return
 	}
-	last := tr.Events[len(tr.Events)-1]
-	tr.Events = append(tr.Events, PhaseEvent{Phase: phase, At: at})
+	last := tr.last
+	tr.last = PhaseEvent{Phase: phase, At: at}
+	if tr.events != nil {
+		tr.events = append(tr.events, tr.last)
+	}
+	t.active[id] = tr
+	key := [2]string{last.Phase, phase}
+	h := t.phases[key]
+	if h == nil {
+		h = t.reg.Histogram(t.prefix + ".phase." + last.Phase + "_to_" + phase + "_ns")
+		t.phases[key] = h
+	}
 	t.mu.Unlock()
-	t.reg.Histogram(t.prefix + ".phase." + last.Phase + "_to_" + phase + "_ns").Observe(at - last.At)
+	h.Observe(at - last.At)
 }
 
 // End terminates the trace with the given outcome taxon.
 func (t *Tracer) End(id uint64, outcome string, at int64) {
 	t.mu.Lock()
-	tr := t.active[id]
-	if tr == nil {
+	tr, ok := t.active[id]
+	if !ok {
 		t.mu.Unlock()
 		return
 	}
 	delete(t.active, id)
-	tr.Outcome = outcome
-	tr.EndedAt = at
-	if t.keep > 0 {
+	if t.keep > 0 && tr.events != nil {
 		if len(t.ring) >= t.keep {
 			copy(t.ring, t.ring[1:])
 			t.ring = t.ring[:len(t.ring)-1]
 			t.evicted.Inc()
 		}
-		t.ring = append(t.ring, *tr)
+		t.ring = append(t.ring, ProbeTrace{ID: id, Label: tr.label, Events: tr.events, Outcome: outcome, EndedAt: at})
 		t.retained.Set(int64(len(t.ring)))
 	}
+	c := t.outcomes[outcome]
+	if c == nil {
+		c = t.reg.Counter(t.prefix + ".outcome." + outcome)
+		t.outcomes[outcome] = c
+	}
+	if t.lifetime == nil {
+		t.lifetime = t.reg.Histogram(t.prefix + ".lifetime_ns")
+	}
+	lifetime := t.lifetime
 	t.mu.Unlock()
-	t.reg.Counter(t.prefix + ".outcome." + outcome).Inc()
-	t.reg.Histogram(t.prefix + ".lifetime_ns").Observe(tr.Duration())
+	c.Inc()
+	lifetime.Observe(at - tr.begun)
 }
 
 // Active returns the number of traces begun but not yet ended.

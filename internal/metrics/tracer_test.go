@@ -83,3 +83,58 @@ func TestTracerConcurrentLifecycle(t *testing.T) {
 		}
 	}
 }
+
+// TestTracerWarmCycleAllocatesNothing pins the cost of tracing with
+// retention off, the state every scan runs in: once the transition
+// histograms and the outcome counter are resolved, a whole probe
+// lifecycle must not touch the heap.
+func TestTracerWarmCycleAllocatesNothing(t *testing.T) {
+	reg := NewRegistry()
+	tr := NewTracer(reg, "probe")
+	cycle := func() {
+		id := tr.Begin("", "syn_sent", 100)
+		tr.Phase(id, "syn_ack", 150)
+		tr.Phase(id, "retransmit_seen", 900)
+		tr.Phase(id, "burst_collected", 900)
+		tr.End(id, "success", 1000)
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Errorf("warm Begin/Phase×3/End cycle cost %.2f allocs, want 0", avg)
+	}
+	// 202 cycles: the one above, AllocsPerRun's own warm-up, 200 measured.
+	if got := reg.Histogram("probe.phase.syn_ack_to_retransmit_seen_ns").Value(); got.Count != 202 || got.Max != 750 {
+		t.Errorf("transition histogram = %+v, want 202 observations of 750", got)
+	}
+	if got := reg.Histogram("probe.lifetime_ns").Value(); got.Count != 202 || got.Max != 900 {
+		t.Errorf("lifetime histogram = %+v, want 202 observations of 900", got)
+	}
+	if got := reg.Counter("probe.outcome.success").Value(); got != 202 {
+		t.Errorf("outcome counter = %d, want 202", got)
+	}
+}
+
+// TestTracerRetentionSwitchedMidTrace: a trace begun while retention
+// was off has kept no events, so it is aggregated but not retained; one
+// begun after SetKeep is retained whole.
+func TestTracerRetentionSwitchedMidTrace(t *testing.T) {
+	reg := NewRegistry()
+	tr := NewTracer(reg, "probe")
+	early := tr.Begin("early", "syn_sent", 0)
+	tr.SetKeep(4)
+	if !tr.Retains() {
+		t.Fatal("Retains() false after SetKeep(4)")
+	}
+	late := tr.Begin("late", "syn_sent", 1)
+	tr.Phase(early, "syn_ack", 2)
+	tr.Phase(late, "syn_ack", 3)
+	tr.End(early, "success", 4)
+	tr.End(late, "success", 5)
+	done := tr.Completed()
+	if len(done) != 1 || done[0].Label != "late" || len(done[0].Events) != 2 || done[0].Duration() != 4 {
+		t.Fatalf("retained = %+v, want the late trace with both events", done)
+	}
+	if got := reg.Counter("probe.outcome.success").Value(); got != 2 {
+		t.Fatalf("outcomes = %d, want both traces aggregated", got)
+	}
+}

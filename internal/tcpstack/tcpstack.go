@@ -443,11 +443,23 @@ func (c *Conn) State() string { return c.state.String() }
 // on a zero-delay flush event, so a Write immediately followed by Close
 // (the common server pattern) piggybacks the FIN on the last data
 // segment, as real stacks do.
+//
+// Ownership: the caller must not modify data after Write returns, for
+// as long as the connection lives. When the send queue is empty the
+// connection adopts the slice instead of copying it, and from then on
+// only reads and reslices it — the capacity is clamped to the length,
+// so a later Write appends into a fresh array, never into the caller's.
+// One slice may therefore be written to any number of connections, which
+// is how the app servers send a response they rendered once.
 func (c *Conn) Write(data []byte) {
 	if c.state == stateClosed || c.pendingClose {
 		return
 	}
-	c.sndQueue = append(c.sndQueue, data...)
+	if len(c.sndQueue) == 0 {
+		c.sndQueue = data[:len(data):len(data)]
+	} else {
+		c.sndQueue = append(c.sndQueue, data...)
+	}
 	c.scheduleFlush()
 }
 

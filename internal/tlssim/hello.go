@@ -124,6 +124,9 @@ func DecodeClientHello(b []byte) (*ClientHello, error) {
 	if csLen%2 != 0 || len(b) < 2+csLen+1 {
 		return nil, ErrTruncated
 	}
+	if csLen > 0 {
+		ch.CipherSuites = make([]uint16, 0, csLen/2)
+	}
 	for i := 0; i < csLen; i += 2 {
 		ch.CipherSuites = append(ch.CipherSuites, binary.BigEndian.Uint16(b[2+i:4+i]))
 	}

@@ -43,8 +43,25 @@ type ServerConfig struct {
 
 // Server is a tcpstack.App that speaks the server side of the TLS
 // handshake's first flight.
+//
+// The flight is a pure function of the ServerConfig, the suite picked
+// and whether the client asked for a stapled status, so each variant is
+// rendered once, on first use, in its final record framing, and every
+// later connection is handed that same slice: tcpstack's Conn.Write
+// adopts it without a copy and never writes through it (see "Payload
+// ownership" in DESIGN.md). The memo is not synchronised: a Server
+// belongs to the one tcpstack.Host it listens on, hence to one
+// netsim.Network and its one goroutine, and lives as long as that host.
 type Server struct {
-	cfg ServerConfig
+	cfg     ServerConfig
+	flights []flight
+}
+
+// flight is one memoised first flight.
+type flight struct {
+	suite  uint16
+	status bool // carries a CertificateStatus message
+	wire   []byte
 }
 
 // NewServer returns a TLS server app with the given behaviour.
@@ -63,7 +80,7 @@ func (s *Server) NewSession(c *tcpstack.Conn) tcpstack.Session {
 type serverSession struct {
 	srv  *Server
 	conn *tcpstack.Conn
-	buf  []byte
+	buf  []byte // the hello record so far, while it spans segments
 	done bool
 }
 
@@ -73,9 +90,18 @@ func (ss *serverSession) OnData(data []byte) {
 	if ss.done {
 		return
 	}
-	ss.buf = append(ss.buf, data...)
-	rec, n, err := DecodeRecord(ss.buf)
+	// The usual hello is one segment and is decoded where it lies; only
+	// a record still incomplete is copied to wait for the rest.
+	buf := data
+	if len(ss.buf) > 0 {
+		ss.buf = append(ss.buf, data...)
+		buf = ss.buf
+	}
+	rec, _, err := DecodeRecord(buf)
 	if err == ErrTruncated {
+		if len(ss.buf) == 0 {
+			ss.buf = append(ss.buf, data...)
+		}
 		return // wait for more bytes
 	}
 	if err != nil || rec.Type != RecordHandshake {
@@ -92,7 +118,6 @@ func (ss *serverSession) OnData(data []byte) {
 		ss.fatal(AlertInternalError)
 		return
 	}
-	ss.buf = ss.buf[n:]
 	ss.done = true
 	ss.respond(ch)
 }
@@ -128,79 +153,133 @@ func (ss *serverSession) respond(ch *ClientHello) {
 		suite = ch.CipherSuites[0]
 	}
 
-	rng := stats.NewRNG(cfg.Seed)
-	sh := &ServerHello{Version: VersionTLS12, CipherSuite: suite}
-	for i := range sh.Random {
-		sh.Random[i] = byte(rng.Uint64())
-	}
-
-	flight := EncodeHandshake(nil, Handshake{Type: HandshakeServerHello, Body: EncodeServerHello(sh)})
-	chain := GenerateChain(rng, cfg.ChainLen)
-	flight = EncodeHandshake(flight, Handshake{Type: HandshakeCertificate, Body: EncodeCertificateChain(chain)})
-	if cfg.OCSPStaple && ch.HasExtension(ExtStatusRequest) {
-		status := make([]byte, cfg.OCSPLen)
-		for i := range status {
-			status[i] = byte(rng.Uint64())
-		}
-		flight = EncodeHandshake(flight, Handshake{Type: HandshakeCertificateStatus, Body: status})
-	}
-	flight = EncodeHandshake(flight, Handshake{Type: HandshakeServerHelloDone, Body: nil})
-
-	// Fragment the flight across records of at most MaxRecordLen.
-	var out []byte
-	for off := 0; off < len(flight); off += MaxRecordLen {
-		end := off + MaxRecordLen
-		if end > len(flight) {
-			end = len(flight)
-		}
-		out = EncodeRecord(out, Record{Type: RecordHandshake, Version: VersionTLS12, Payload: flight[off:end]})
-	}
-	ss.conn.Write(out)
+	ss.conn.Write(ss.srv.firstFlight(suite, cfg.OCSPStaple && ch.HasExtension(ExtStatusRequest)))
 	// The server now waits for ClientKeyExchange; it does not close, so
 	// an IW-limited host keeps data queued and never FINs early.
+}
+
+// firstFlight returns the memoised ServerHello, Certificate, optional
+// CertificateStatus and ServerHelloDone, fragmented across records of
+// at most MaxRecordLen.
+func (s *Server) firstFlight(suite uint16, status bool) []byte {
+	for _, f := range s.flights {
+		if f.suite == suite && f.status == status {
+			return f.wire
+		}
+	}
+	wire := s.renderFlight(suite, status)
+	s.flights = append(s.flights, flight{suite: suite, status: status, wire: wire})
+	return wire
+}
+
+// helloLen is the ServerHello body: version, random, empty session ID,
+// suite, null compression, no extensions.
+const helloLen = 2 + 32 + 1 + 2 + 1
+
+// renderFlight renders the flight into one buffer of its final size:
+// the messages are appended behind the room all the record headers
+// need, then each record's payload is moved down behind its own header,
+// front to back, so a payload only ever moves over bytes already framed.
+func (s *Server) renderFlight(suite uint16, status bool) []byte {
+	certLens, nCerts := chainSplit(s.cfg.ChainLen)
+	chainBody := 3
+	for _, n := range certLens[:nCerts] {
+		chainBody += 3 + n
+	}
+	msgs := 4 + helloLen + 4 + chainBody + 4
+	if status {
+		msgs += 4 + s.cfg.OCSPLen
+	}
+	records := (msgs + MaxRecordLen - 1) / MaxRecordLen
+
+	rng := stats.NewRNG(s.cfg.Seed)
+	b := make([]byte, 5*records, 5*records+msgs)
+	b = appendUint24(append(b, HandshakeServerHello), helloLen)
+	b = append(b, byte(VersionTLS12>>8), byte(VersionTLS12&0xff))
+	for i := 0; i < 32; i++ {
+		b = append(b, byte(rng.Uint64()))
+	}
+	b = append(b, 0, byte(suite>>8), byte(suite), 0) // no session ID, the suite, null compression
+
+	b = appendUint24(append(b, HandshakeCertificate), chainBody)
+	b = appendUint24(b, chainBody-3)
+	for _, n := range certLens[:nCerts] {
+		b = appendUint24(b, n)
+		b = b[:len(b)+n]
+		fillCert(rng, b[len(b)-n:])
+	}
+	if status {
+		b = appendUint24(append(b, HandshakeCertificateStatus), s.cfg.OCSPLen)
+		for i := 0; i < s.cfg.OCSPLen; i++ {
+			b = append(b, byte(rng.Uint64()))
+		}
+	}
+	b = appendUint24(append(b, HandshakeServerHelloDone), 0)
+
+	for r := 0; r < records; r++ {
+		payload := b[5*records+r*MaxRecordLen:]
+		if len(payload) > MaxRecordLen {
+			payload = payload[:MaxRecordLen]
+		}
+		rec := b[r*(5+MaxRecordLen):]
+		rec[0] = RecordHandshake
+		rec[1], rec[2] = byte(VersionTLS12>>8), byte(VersionTLS12&0xff)
+		rec[3], rec[4] = byte(len(payload)>>8), byte(len(payload))
+		copy(rec[5:], payload)
+	}
+	return b
+}
+
+func appendUint24(b []byte, n int) []byte {
+	return append(b, byte(n>>16), byte(n>>8), byte(n))
 }
 
 // GenerateChain produces a deterministic pseudo-DER certificate chain
 // whose total DER length is totalLen bytes, split across 1-3
 // certificates the way real chains are (leaf larger than intermediates).
 func GenerateChain(rng *stats.RNG, totalLen int) [][]byte {
-	if totalLen <= 0 {
-		totalLen = 36
-	}
-	var lens []int
-	switch {
-	case totalLen < 700:
-		lens = []int{totalLen}
-	case totalLen < 2200:
-		leaf := totalLen * 60 / 100
-		lens = []int{leaf, totalLen - leaf}
-	default:
-		leaf := totalLen * 45 / 100
-		inter := totalLen * 35 / 100
-		lens = []int{leaf, inter, totalLen - leaf - inter}
-	}
-	chain := make([][]byte, 0, len(lens))
-	for _, n := range lens {
-		chain = append(chain, generateCert(rng, n))
+	lens, n := chainSplit(totalLen)
+	chain := make([][]byte, 0, n)
+	for _, n := range lens[:n] {
+		cert := make([]byte, n)
+		fillCert(rng, cert)
+		chain = append(chain, cert)
 	}
 	return chain
 }
 
-// generateCert emits n bytes that start like a DER SEQUENCE, so traffic
-// looks plausible in a packet capture.
-func generateCert(rng *stats.RNG, n int) []byte {
-	b := make([]byte, n)
+// chainSplit divides a chain of totalLen DER bytes into the lengths of
+// its n certificates.
+func chainSplit(totalLen int) (lens [3]int, n int) {
+	if totalLen <= 0 {
+		totalLen = 36
+	}
+	switch {
+	case totalLen < 700:
+		return [3]int{totalLen}, 1
+	case totalLen < 2200:
+		leaf := totalLen * 60 / 100
+		return [3]int{leaf, totalLen - leaf}, 2
+	default:
+		leaf := totalLen * 45 / 100
+		inter := totalLen * 35 / 100
+		return [3]int{leaf, inter, totalLen - leaf - inter}, 3
+	}
+}
+
+// fillCert fills b with bytes that start like a DER SEQUENCE, so
+// traffic looks plausible in a packet capture.
+func fillCert(rng *stats.RNG, b []byte) {
 	for i := range b {
 		b[i] = byte(rng.Uint64())
 	}
-	if n >= 4 {
+	if n := len(b); n >= 4 {
 		b[0] = 0x30 // SEQUENCE
 		b[1] = 0x82 // long form, 2 length bytes
 		inner := n - 4
 		b[2] = byte(inner >> 8)
 		b[3] = byte(inner)
 	}
-	return b
 }
 
 // ChainLenDist models the censys.io certificate-chain length
