@@ -1,13 +1,15 @@
 # Developer workflow for the iwscan reproduction. `make check` is the
 # pre-commit gate (see README.md): formatting, vet, full build, full
 # test suite, a race-detector pass over the packages with concurrency,
-# and the ground-truth validation smoke (oracle accuracy report plus
-# golden population comparisons).
+# and the benchmark smoke. Every end-to-end gate is a `go test`: the
+# CLI scans (flight records, telemetry stream, smart rescan) are
+# cmd/iwscan's tests, the oracle accuracy floor and both golden
+# populations are internal/validate's.
 
 GO ?= go
 
-# Where validation artifacts (accuracy report, sweep CSV) land; CI
-# uploads this directory.
+# Where artifacts (sweep report and CSV, coverage profile, benchmark
+# report) land; CI uploads this directory.
 VALIDATE_OUT ?= artifacts
 
 # Per-target budget for fuzz-smoke.
@@ -19,9 +21,9 @@ FUZZ_PKGS := ./internal/wire ./internal/output ./internal/httpsim ./internal/tls
 # build does not fail below it, the number is for trend-watching.
 COVER_TARGET ?= 70
 
-.PHONY: check fmt vet build test race cover bench bench-compare bench-smoke fuzz-smoke flight-smoke telemetry-smoke smart-smoke validate-smoke validate-sweep
+.PHONY: check fmt vet build test race cover bench bench-compare bench-smoke fuzz-smoke validate-sweep
 
-check: fmt vet build test race bench-smoke flight-smoke telemetry-smoke smart-smoke validate-smoke
+check: fmt vet build test race bench-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -111,70 +113,8 @@ fuzz-smoke:
 		done; \
 	done
 
-# flight-smoke is the forensic-pipeline gate: a short fixed-seed
-# adversity scan with anomaly triggers armed must freeze at least one
-# flight record, and every export must validate as Chrome trace-event
-# JSON (iwtrace smoke). The records land in $(VALIDATE_OUT)/flight,
-# which CI uploads with the other validation artifacts.
-flight-smoke:
-	@mkdir -p $(VALIDATE_OUT)
-	rm -rf $(VALIDATE_OUT)/flight
-	$(GO) run ./cmd/iwscan -sample 0.004 -seed 3 -loss 0.15 -tail-loss 0.3 \
-		-flight-dir $(VALIDATE_OUT)/flight -flight-on ghost,byte-limit-misread \
-		-out /dev/null -q
-	$(GO) run ./cmd/iwtrace smoke $(VALIDATE_OUT)/flight
-	@$(GO) run ./cmd/iwtrace list $(VALIDATE_OUT)/flight
-
-# telemetry-smoke is the observability gate: a fixed-seed 4-shard scan
-# under tail loss streams its telemetry to
-# $(VALIDATE_OUT)/telemetry.jsonl (CI uploads it), then iwtrace
-# re-parses the stream and requires every line tagged, contiguous
-# per-shard sample indices, at least one sample from each of the four
-# shards, and at least one anomaly — tail loss at 0.3 reliably trips
-# the drop-spike detector.
-telemetry-smoke:
-	@mkdir -p $(VALIDATE_OUT)
-	$(GO) run ./cmd/iwscan -sample 0.02 -seed 3 -tail-loss 0.3 -parallel 4 \
-		-telemetry-out $(VALIDATE_OUT)/telemetry.jsonl -out /dev/null -q
-	$(GO) run ./cmd/iwtrace telemetry -shards 4 -require-anomaly \
-		$(VALIDATE_OUT)/telemetry.jsonl
-
-# smart-smoke is the topology-aware-scanning gate: a fixed-seed full
-# scan trains a fresh responsiveness model (-smart-update), a rescan of
-# the same sample under the trained model prunes dark space, and
-# iwtrace smartcmp gates the pair — the smart pass must save >= 30% of
-# the probes while re-finding >= 95% of the responsive hosts. The
-# model, both record files and the scan logs land in
-# $(VALIDATE_OUT)/smart for CI to upload.
-smart-smoke:
-	@mkdir -p $(VALIDATE_OUT)/smart
-	rm -f $(VALIDATE_OUT)/smart/model.iwsm
-	$(GO) run ./cmd/iwscan -sample 0.004 -seed 11 -format bin \
-		-out $(VALIDATE_OUT)/smart/full.iwb \
-		-smart-model $(VALIDATE_OUT)/smart/model.iwsm -smart-update -q
-	$(GO) run ./cmd/iwscan -sample 0.004 -seed 11 -format bin \
-		-out $(VALIDATE_OUT)/smart/smart.iwb \
-		-smart-model $(VALIDATE_OUT)/smart/model.iwsm \
-		-smart-threshold 0.01 -smart-explore -1 -q
-	$(GO) run ./cmd/iwtrace smartcmp -min-saved 0.30 -min-found 0.95 \
-		$(VALIDATE_OUT)/smart/full.iwb $(VALIDATE_OUT)/smart/smart.iwb
-
-# validate-smoke is the ground-truth gate: scan a sample of the 2017
-# universe, require >= 99% oracle exact-match accuracy and zero bound
-# violations, then compare both checked-in goldens. The accuracy report
-# is written to $(VALIDATE_OUT) for CI to upload.
-validate-smoke:
-	@mkdir -p $(VALIDATE_OUT)
-	$(GO) run ./cmd/iwvalidate -mode report -sample 0.02 -min-accuracy 0.99 \
-		-out $(VALIDATE_OUT)/accuracy-report.txt
-	@cat $(VALIDATE_OUT)/accuracy-report.txt
-	$(GO) run ./cmd/iwvalidate -mode golden \
-		-golden internal/validate/testdata/golden-http-2017.json
-	$(GO) run ./cmd/iwvalidate -mode golden \
-		-golden internal/validate/testdata/golden-tls-2017.json
-
 # validate-sweep produces the accuracy-vs-adversity curve artifact
-# (full default grid; slower than validate-smoke, CI-only by default).
+# (full default grid; slower than the test suite, CI-only by default).
 validate-sweep:
 	@mkdir -p $(VALIDATE_OUT)
 	$(GO) run ./cmd/iwvalidate -mode sweep -sample 0.01 \

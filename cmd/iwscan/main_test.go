@@ -1,0 +1,137 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"iwscan/internal/events"
+	"iwscan/internal/flight"
+	"iwscan/internal/output"
+	"iwscan/internal/prefixtree"
+	"iwscan/internal/timeseries"
+)
+
+// runMainEnv turns the test binary into iwscan: TestMain runs main()
+// instead of the tests when it is set, so each test below execs
+// os.Args[0] with the exact command line it checks.
+const runMainEnv = "IWSCAN_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// iwscan runs the command with args and fails the test on a non-zero exit.
+func iwscan(t *testing.T, args ...string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("iwscan %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+}
+
+// TestCLIFlightDir is the forensic-pipeline gate: a fixed-seed adversity
+// scan with anomaly triggers armed must freeze at least one record, every
+// record must load, and each record's trace export must validate and
+// equal the .trace.json sidecar written at freeze time.
+func TestCLIFlightDir(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	iwscan(t, "-sample", "0.004", "-seed", "3", "-loss", "0.15", "-tail-loss", "0.3",
+		"-flight-dir", dir, "-flight-on", "ghost,byte-limit-misread", "-out", os.DevNull, "-q")
+	paths, err := filepath.Glob(filepath.Join(dir, "*.flight.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("the armed scan froze no flight record")
+	}
+	for _, p := range paths {
+		rec, err := flight.Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rec.WriteTraceEvents(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := events.ValidateTraceEvents(buf.Bytes()); err != nil {
+			t.Errorf("%s: trace export invalid: %v", filepath.Base(p), err)
+		}
+		sidecar, err := os.ReadFile(strings.TrimSuffix(p, ".flight.json") + ".trace.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sidecar, buf.Bytes()) {
+			t.Errorf("%s: .trace.json sidecar differs from a fresh export", filepath.Base(p))
+		}
+	}
+}
+
+// TestCLITelemetryOut is the telemetry gate: a fixed-seed 4-shard scan
+// under tail loss streams JSONL whose every line parses, whose per-shard
+// sample indices are contiguous, which holds samples from all four
+// shards, and in which tail loss at 0.3 trips at least one anomaly.
+func TestCLITelemetryOut(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "telemetry.jsonl")
+	iwscan(t, "-sample", "0.02", "-seed", "3", "-tail-loss", "0.3", "-parallel", "4",
+		"-telemetry-out", path, "-out", os.DevNull, "-q")
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	samples, anomalies, err := timeseries.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := timeseries.VerifyStream(samples, anomalies, 4, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCLISmartUpdate is the topology-aware-scanning gate: a fixed-seed
+// full scan trains a fresh model with -smart-update, and a rescan of the
+// same sample under it must save >= 30% of the probes while re-finding
+// >= 95% of the full scan's responsive hosts.
+func TestCLISmartUpdate(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	model := filepath.Join(dir, "model.iwsm")
+	fullPath, smartPath := filepath.Join(dir, "full.iwb"), filepath.Join(dir, "smart.iwb")
+	iwscan(t, "-sample", "0.004", "-seed", "11", "-format", "bin", "-out", fullPath,
+		"-smart-model", model, "-smart-update", "-q")
+	iwscan(t, "-sample", "0.004", "-seed", "11", "-format", "bin", "-out", smartPath,
+		"-smart-model", model, "-smart-threshold", "0.01", "-smart-explore", "-1", "-q")
+	full, err := output.ReadRecordsFile(fullPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smart, err := output.ReadRecordsFile(smartPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullHosts, smartHosts := len(prefixtree.Hitlist(full)), len(prefixtree.Hitlist(smart))
+	if fullHosts == 0 {
+		t.Fatalf("full scan: %d probes, no responsive hosts", len(full))
+	}
+	saved := 1 - float64(len(smart))/float64(len(full))
+	found := float64(smartHosts) / float64(fullHosts)
+	t.Logf("full %d probes / %d hosts, smart %d probes / %d hosts: %.1f%% saved, %.1f%% found",
+		len(full), fullHosts, len(smart), smartHosts, 100*saved, 100*found)
+	if saved < 0.30 {
+		t.Errorf("probes saved %.1f%%, want >= 30%%", 100*saved)
+	}
+	if found < 0.95 {
+		t.Errorf("hosts found %.1f%%, want >= 95%%", 100*found)
+	}
+}

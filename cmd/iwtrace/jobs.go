@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"iwscan/internal/events"
-	"iwscan/internal/flight"
 	"iwscan/internal/jobs"
 )
 
@@ -53,7 +52,7 @@ func runJobs(args []string) error {
 		if err := events.WriteTraceEvents(&buf, evs); err != nil {
 			return fmt.Errorf("jobs: trace export: %w", err)
 		}
-		if _, err := flight.ValidateTraceEvents(buf.Bytes()); err != nil {
+		if _, err := events.ValidateTraceEvents(buf.Bytes()); err != nil {
 			return fmt.Errorf("jobs: trace export invalid: %w", err)
 		}
 	}

@@ -16,30 +16,13 @@
 //
 //	iwtrace validate <dir | record.flight.json ...>
 //	    Check every record's trace-event export parses as valid Chrome
-//	    trace-event JSON. Exits nonzero on the first invalid record.
+//	    trace-event JSON and equals, byte for byte, the .trace.json
+//	    sidecar written at freeze time. Exits nonzero on the first
+//	    invalid record, and on a directory holding none.
 //
 //	iwtrace diff <a.flight.json> <b.flight.json>
 //	    Align two records of the same host and print the events unique
 //	    to each side — e.g. a clean run against a tail-loss casualty.
-//
-//	iwtrace smoke <dir>
-//	    CI guard: require at least one record in the directory and
-//	    validate every export. Exits nonzero otherwise.
-//
-//	iwtrace telemetry [-shards n] [-require-anomaly] <stream.jsonl>
-//	    Parse a -telemetry-out JSONL stream, verify its invariants
-//	    (every line tagged, per-shard sample indices contiguous,
-//	    -shards n shards each contributed at least one sample, and
-//	    with -require-anomaly at least one anomaly fired), then print
-//	    a per-shard summary. The make telemetry-smoke gate.
-//
-//	iwtrace smartcmp [-min-saved f] [-min-found f] <full> <smart>
-//	    Compare a smart (or hitlist) rescan's output against the full
-//	    scan it was trained on: probes saved (records the rescan did
-//	    not emit) and hosts found (fraction of the full scan's
-//	    responsive hosts the rescan still reached). Exits nonzero when
-//	    either fraction is below its -min gate. Both files may be in
-//	    any output format (csv, jsonl, iwb). The make smart-smoke gate.
 //
 //	iwtrace jobs [-validate] [-min-dispatch n] [-job id] [-fmt summary|trace] <events.jsonl>
 //	    Inspect an iwserve control-plane event journal. The default
@@ -61,10 +44,8 @@ import (
 	"sort"
 	"strings"
 
+	"iwscan/internal/events"
 	"iwscan/internal/flight"
-	"iwscan/internal/output"
-	"iwscan/internal/prefixtree"
-	"iwscan/internal/timeseries"
 )
 
 func main() {
@@ -85,12 +66,6 @@ func main() {
 		err = runValidate(args[1:])
 	case "diff":
 		err = runDiff(args[1:])
-	case "smoke":
-		err = runSmoke(args[1:])
-	case "telemetry":
-		err = runTelemetry(args[1:])
-	case "smartcmp":
-		err = runSmartCmp(args[1:])
 	case "jobs":
 		err = runJobs(args[1:])
 	default:
@@ -110,9 +85,6 @@ func usage() {
   iwtrace show [-fmt txt|json|trace] <record.flight.json>
   iwtrace validate <dir | record.flight.json ...>
   iwtrace diff <a.flight.json> <b.flight.json>
-  iwtrace smoke <dir>
-  iwtrace telemetry [-shards n] [-require-anomaly] <stream.jsonl>
-  iwtrace smartcmp [-min-saved f] [-min-found f] <full> <smart>
   iwtrace jobs [-validate] [-min-dispatch n] [-job id] [-fmt summary|trace] <events.jsonl>
 `)
 }
@@ -199,16 +171,14 @@ func validateRecord(path string) (int, error) {
 	if err := rec.WriteTraceEvents(&buf); err != nil {
 		return 0, err
 	}
-	n, err := flight.ValidateTraceEvents(buf.Bytes())
+	n, err := events.ValidateTraceEvents(buf.Bytes())
 	if err != nil {
 		return 0, fmt.Errorf("%s: %w", path, err)
 	}
 	// The sidecar written at freeze time must agree with a fresh export.
 	sidecar := strings.TrimSuffix(path, ".flight.json") + ".trace.json"
-	if data, rerr := os.ReadFile(sidecar); rerr == nil {
-		if _, err := flight.ValidateTraceEvents(data); err != nil {
-			return 0, fmt.Errorf("%s: %w", sidecar, err)
-		}
+	if data, rerr := os.ReadFile(sidecar); rerr == nil && !bytes.Equal(data, buf.Bytes()) {
+		return 0, fmt.Errorf("%s: sidecar %s differs from a fresh trace export of the record", path, sidecar)
 	}
 	return n, nil
 }
@@ -253,30 +223,6 @@ func runValidate(args []string) error {
 		total += n
 	}
 	fmt.Printf("%d records valid (%d trace events)\n", len(paths), total)
-	return nil
-}
-
-func runSmoke(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("smoke wants exactly one directory")
-	}
-	paths, err := records(args[0])
-	if err != nil {
-		return err
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("smoke: no flight records under %s — the armed scan froze nothing", args[0])
-	}
-	total := 0
-	for _, p := range paths {
-		n, err := validateRecord(p)
-		if err != nil {
-			return err
-		}
-		total += n
-	}
-	fmt.Printf("flight smoke ok: %d records, %d trace events, all exports valid\n",
-		len(paths), total)
 	return nil
 }
 
@@ -381,71 +327,4 @@ func lcs(a, b []string) []match {
 		}
 	}
 	return out
-}
-
-// runSmartCmp quantifies a smart rescan against its training scan.
-func runSmartCmp(args []string) error {
-	fs := flag.NewFlagSet("smartcmp", flag.ExitOnError)
-	minSaved := fs.Float64("min-saved", 0, "fail when probes saved is below this fraction")
-	minFound := fs.Float64("min-found", 0, "fail when hosts found is below this fraction")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 2 {
-		return fmt.Errorf("smartcmp wants exactly two scan-output files: full then smart")
-	}
-	full, err := output.ReadRecordsFile(fs.Arg(0))
-	if err != nil {
-		return fmt.Errorf("reading full scan %s: %w", fs.Arg(0), err)
-	}
-	smart, err := output.ReadRecordsFile(fs.Arg(1))
-	if err != nil {
-		return fmt.Errorf("reading smart scan %s: %w", fs.Arg(1), err)
-	}
-	if len(full) == 0 {
-		return fmt.Errorf("full scan %s has no records", fs.Arg(0))
-	}
-	fullHosts := len(prefixtree.Hitlist(full))
-	if fullHosts == 0 {
-		return fmt.Errorf("full scan %s found no responsive hosts", fs.Arg(0))
-	}
-	saved := 1 - float64(len(smart))/float64(len(full))
-	found := float64(len(prefixtree.Hitlist(smart))) / float64(fullHosts)
-	fmt.Printf("full:  %d probes, %d responsive hosts\n", len(full), fullHosts)
-	fmt.Printf("smart: %d probes, %d responsive hosts\n", len(smart), len(prefixtree.Hitlist(smart)))
-	fmt.Printf("probes saved: %.1f%%   hosts found: %.1f%%\n", 100*saved, 100*found)
-	if saved < *minSaved {
-		return fmt.Errorf("smartcmp: probes saved %.1f%% below gate %.0f%%", 100*saved, 100**minSaved)
-	}
-	if found < *minFound {
-		return fmt.Errorf("smartcmp: hosts found %.1f%% below gate %.0f%%", 100*found, 100**minFound)
-	}
-	return nil
-}
-
-// runTelemetry parses and verifies a -telemetry-out JSONL stream.
-func runTelemetry(args []string) error {
-	fs := flag.NewFlagSet("telemetry", flag.ExitOnError)
-	shards := fs.Int("shards", 0, "require at least one sample from each of n shards (0 = any)")
-	requireAnomaly := fs.Bool("require-anomaly", false, "fail unless at least one anomaly fired")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("telemetry wants exactly one stream file")
-	}
-	f, err := os.Open(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	samples, anomalies, err := timeseries.ReadJSONL(f)
-	if err != nil {
-		return err
-	}
-	if err := timeseries.VerifyStream(samples, anomalies, *shards, *requireAnomaly); err != nil {
-		return err
-	}
-	timeseries.SummarizeStream(os.Stdout, samples, anomalies)
-	return nil
 }

@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"iwscan/internal/flight"
 )
 
 func openT(t *testing.T, dir string) *Journal {
@@ -236,11 +234,25 @@ func TestTraceExportValidates(t *testing.T) {
 	if err := WriteTraceEvents(&buf, evs); err != nil {
 		t.Fatalf("export: %v", err)
 	}
-	n, err := flight.ValidateTraceEvents(buf.Bytes())
+	n, err := ValidateTraceEvents(buf.Bytes())
 	if err != nil {
 		t.Fatalf("exported trace invalid: %v", err)
 	}
 	if n < len(evs) {
 		t.Fatalf("trace has %d events, want >= %d", n, len(evs))
+	}
+
+	for _, bad := range []string{
+		`{}`,
+		`{"traceEvents":[]}`,
+		`{"traceEvents":[{"name":"","ph":"i","ts":0}]}`,
+		`{"traceEvents":[{"name":"x","ph":"Q","ts":0}]}`,
+		`{"traceEvents":[{"name":"x","ph":"i"}]}`,
+		`{"traceEvents":[{"name":"x","ph":"X","ts":1,"dur":-2}]}`,
+		`not json`,
+	} {
+		if _, err := ValidateTraceEvents([]byte(bad)); err == nil {
+			t.Errorf("ValidateTraceEvents accepted %s", bad)
+		}
 	}
 }

@@ -7,25 +7,71 @@ import (
 	"sort"
 )
 
-// Chrome trace-event export: the journal's span model maps directly
-// onto the trace-event format (same shape internal/flight emits for
-// per-probe records). Processes are tenants, threads are jobs, span
-// begin/end events become B/E pairs, and everything else is an
-// instant. Timestamps are microseconds relative to the first event.
-
-type traceEvent struct {
+// TraceEvent is one entry of the Chrome trace-event format
+// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU),
+// the one schema both exporters write: this package's journal span tree
+// and internal/flight's per-probe records. Timestamps and durations are
+// microseconds.
+type TraceEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
 	Ts    float64        `json:"ts"`
+	Dur   float64        `json:"dur,omitempty"`
 	Pid   int            `json:"pid"`
 	Tid   int            `json:"tid"`
 	Scope string         `json:"s,omitempty"`
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-type traceFile struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
+// TraceFile is the top-level trace-event document.
+type TraceFile struct {
+	TraceEvents     []TraceEvent `json:"traceEvents"`
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
+}
+
+// ValidateTraceEvents checks that data parses as Chrome trace-event
+// JSON: a traceEvents array whose entries all carry a name and a legal
+// phase, with non-negative timestamps and durations. It returns the
+// number of non-metadata events.
+func ValidateTraceEvents(data []byte) (int, error) {
+	var tf struct {
+		TraceEvents []struct {
+			Name  string   `json:"name"`
+			Phase string   `json:"ph"`
+			Ts    *float64 `json:"ts"`
+			Dur   *float64 `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &tf); err != nil {
+		return 0, fmt.Errorf("not valid JSON: %w", err)
+	}
+	if tf.TraceEvents == nil {
+		return 0, fmt.Errorf("missing traceEvents array")
+	}
+	count := 0
+	for i, ev := range tf.TraceEvents {
+		if ev.Name == "" {
+			return 0, fmt.Errorf("event %d: empty name", i)
+		}
+		switch ev.Phase {
+		case "M":
+			continue
+		case "X", "i", "I", "B", "E", "C":
+		default:
+			return 0, fmt.Errorf("event %d (%q): unknown phase %q", i, ev.Name, ev.Phase)
+		}
+		if ev.Ts == nil || *ev.Ts < 0 {
+			return 0, fmt.Errorf("event %d (%q): missing or negative ts", i, ev.Name)
+		}
+		if ev.Phase == "X" && ev.Dur != nil && *ev.Dur < 0 {
+			return 0, fmt.Errorf("event %d (%q): negative dur", i, ev.Name)
+		}
+		count++
+	}
+	if count == 0 {
+		return 0, fmt.Errorf("no events")
+	}
+	return count, nil
 }
 
 // spanName renders a span id ("seg:job/3") as a human track label.
@@ -48,7 +94,9 @@ func spanName(ev Event) string {
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. Each
 // tenant becomes a process, each of its jobs a thread; scheduler-wide
 // events (daemon lifecycle, dispatch decisions with no surviving job
-// attribution) land on a dedicated "scheduler" process. Spans left
+// attribution) land on a dedicated "scheduler" process. Span begin/end
+// events become B/E pairs (never Dur), everything else an instant;
+// timestamps are microseconds relative to the first event. Spans left
 // open at the end of the journal (a crash tail) are closed at the
 // final timestamp so viewers render them.
 func WriteTraceEvents(w io.Writer, evs []Event) error {
@@ -79,11 +127,11 @@ func WriteTraceEvents(w io.Writer, evs []Event) error {
 		}
 	}
 
-	meta := func(name string, pid, tid int, label string) traceEvent {
-		return traceEvent{Name: name, Phase: "M", Pid: pid, Tid: tid,
+	meta := func(name string, pid, tid int, label string) TraceEvent {
+		return TraceEvent{Name: name, Phase: "M", Pid: pid, Tid: tid,
 			Args: map[string]any{"name": label}}
 	}
-	out := []traceEvent{meta("process_name", 0, 0, "scheduler")}
+	out := []TraceEvent{meta("process_name", 0, 0, "scheduler")}
 	names := make([]string, 0, len(pids))
 	for t := range pids {
 		if t != "" {
@@ -125,7 +173,7 @@ func WriteTraceEvents(w io.Writer, evs []Event) error {
 		switch ev.Phase {
 		case PhaseBegin:
 			name := spanName(ev)
-			out = append(out, traceEvent{Name: name, Phase: "B", Ts: us(ev.WallNS), Pid: pid, Tid: tid, Args: args})
+			out = append(out, TraceEvent{Name: name, Phase: "B", Ts: us(ev.WallNS), Pid: pid, Tid: tid, Args: args})
 			if _, dup := open[ev.Span]; !dup {
 				open[ev.Span] = openSpan{pid: pid, tid: tid, name: name}
 				openOrder = append(openOrder, ev.Span)
@@ -135,13 +183,13 @@ func WriteTraceEvents(w io.Writer, evs []Event) error {
 			if !ok {
 				// End without a begin (journal opened mid-span after a
 				// restart): render as an instant instead.
-				out = append(out, traceEvent{Name: spanName(ev), Phase: "i", Ts: us(ev.WallNS), Pid: pid, Tid: tid, Scope: "t", Args: args})
+				out = append(out, TraceEvent{Name: spanName(ev), Phase: "i", Ts: us(ev.WallNS), Pid: pid, Tid: tid, Scope: "t", Args: args})
 				continue
 			}
-			out = append(out, traceEvent{Name: os.name, Phase: "E", Ts: us(ev.WallNS), Pid: os.pid, Tid: os.tid, Args: args})
+			out = append(out, TraceEvent{Name: os.name, Phase: "E", Ts: us(ev.WallNS), Pid: os.pid, Tid: os.tid, Args: args})
 			delete(open, ev.Span)
 		default:
-			out = append(out, traceEvent{Name: ev.Type, Phase: "i", Ts: us(ev.WallNS), Pid: pid, Tid: tid, Scope: "t", Args: args})
+			out = append(out, TraceEvent{Name: ev.Type, Phase: "i", Ts: us(ev.WallNS), Pid: pid, Tid: tid, Scope: "t", Args: args})
 		}
 	}
 	// Close crash-tail spans innermost-first (reverse open order).
@@ -151,11 +199,11 @@ func WriteTraceEvents(w io.Writer, evs []Event) error {
 		if !ok {
 			continue
 		}
-		out = append(out, traceEvent{Name: os.name, Phase: "E", Ts: us(last), Pid: os.pid, Tid: os.tid,
+		out = append(out, TraceEvent{Name: os.name, Phase: "E", Ts: us(last), Pid: os.pid, Tid: os.tid,
 			Args: map[string]any{"unclosed": true}})
 	}
 
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(traceFile{TraceEvents: out, DisplayTimeUnit: "ms"})
+	return enc.Encode(TraceFile{TraceEvents: out, DisplayTimeUnit: "ms"})
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"iwscan/internal/events"
 	"iwscan/internal/metrics"
 )
 
@@ -93,7 +94,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/flight/0?fmt=trace = %d", code)
 	}
-	if _, err := ValidateTraceEvents([]byte(body)); err != nil {
+	if _, err := events.ValidateTraceEvents([]byte(body)); err != nil {
 		t.Fatalf("served trace export invalid: %v", err)
 	}
 	code, body = get(t, srv, "/flight/0")

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"iwscan/internal/events"
 )
 
 // Track layout of the Perfetto export: one process per record, with a
@@ -15,38 +17,19 @@ const (
 	tidServer    = 4
 )
 
-// traceEvent is one entry of the Chrome trace-event format
-// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
-// Timestamps and durations are microseconds.
-type traceEvent struct {
-	Name  string                 `json:"name"`
-	Phase string                 `json:"ph"`
-	Ts    float64                `json:"ts"`
-	Dur   float64                `json:"dur,omitempty"`
-	Pid   int                    `json:"pid"`
-	Tid   int                    `json:"tid"`
-	Scope string                 `json:"s,omitempty"`
-	Args  map[string]interface{} `json:"args,omitempty"`
-}
-
-type traceFile struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-}
-
-// WriteTraceEvents exports the record as Chrome trace-event JSON,
-// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing: probe
-// phases become duration spans on one track, packet/estimator/server
-// events become instants on parallel tracks. Timestamps are relative
-// to the record's start.
+// WriteTraceEvents exports the record as Chrome trace-event JSON
+// (events.TraceFile), loadable in Perfetto (ui.perfetto.dev) or
+// chrome://tracing: probe phases become duration spans on one track,
+// packet/estimator/server events become instants on parallel tracks.
+// Timestamps are relative to the record's start.
 func (r *Record) WriteTraceEvents(w io.Writer) error {
 	us := func(atNS int64) float64 { return float64(atNS-r.BeganNS) / 1e3 }
-	evs := []traceEvent{
-		meta("process_name", 0, map[string]interface{}{"name": fmt.Sprintf("flight %s [%s]", r.Target, r.Verdict)}),
-		meta("thread_name", tidPhases, map[string]interface{}{"name": "phases"}),
-		meta("thread_name", tidPackets, map[string]interface{}{"name": "packets"}),
-		meta("thread_name", tidEstimator, map[string]interface{}{"name": "estimator"}),
-		meta("thread_name", tidServer, map[string]interface{}{"name": "server"}),
+	evs := []events.TraceEvent{
+		meta("process_name", 0, map[string]any{"name": fmt.Sprintf("flight %s [%s]", r.Target, r.Verdict)}),
+		meta("thread_name", tidPhases, map[string]any{"name": "phases"}),
+		meta("thread_name", tidPackets, map[string]any{"name": "packets"}),
+		meta("thread_name", tidEstimator, map[string]any{"name": "estimator"}),
+		meta("thread_name", tidServer, map[string]any{"name": "server"}),
 	}
 
 	// Phase events become back-to-back spans: each phase lasts until
@@ -68,12 +51,12 @@ func (r *Record) WriteTraceEvents(w io.Writer) error {
 		switch ev.Type {
 		case "phase":
 			closePhase(ev.AtNS)
-			evs = append(evs, traceEvent{
+			evs = append(evs, events.TraceEvent{
 				Name: ev.Note, Phase: "X", Ts: us(ev.AtNS), Pid: 1, Tid: tidPhases,
 			})
 			openPhase = len(evs) - 1
 		case "packet":
-			args := map[string]interface{}{
+			args := map[string]any{
 				"src": fmt.Sprintf("%s:%d", ev.Src, ev.SrcPort),
 				"dst": fmt.Sprintf("%s:%d", ev.Dst, ev.DstPort),
 				"len": ev.Len,
@@ -83,28 +66,28 @@ func (r *Record) WriteTraceEvents(w io.Writer) error {
 				args["seq"] = ev.Seq
 				args["ack"] = ev.Ack
 			}
-			evs = append(evs, traceEvent{
+			evs = append(evs, events.TraceEvent{
 				Name: ev.Op, Phase: "i", Ts: us(ev.AtNS), Pid: 1, Tid: tidPackets,
 				Scope: "t", Args: args,
 			})
 		case "segment":
-			evs = append(evs, traceEvent{
+			evs = append(evs, events.TraceEvent{
 				Name: "segment " + ev.Note, Phase: "i", Ts: us(ev.AtNS), Pid: 1, Tid: tidEstimator,
-				Scope: "t", Args: map[string]interface{}{"off": ev.A, "len": ev.B},
+				Scope: "t", Args: map[string]any{"off": ev.A, "len": ev.B},
 			})
 		case "step":
-			evs = append(evs, traceEvent{
+			evs = append(evs, events.TraceEvent{
 				Name: ev.Note, Phase: "i", Ts: us(ev.AtNS), Pid: 1, Tid: tidEstimator,
-				Scope: "t", Args: map[string]interface{}{"a": ev.A, "b": ev.B},
+				Scope: "t", Args: map[string]any{"a": ev.A, "b": ev.B},
 			})
 		case "stack":
-			evs = append(evs, traceEvent{
+			evs = append(evs, events.TraceEvent{
 				Name: ev.Note, Phase: "i", Ts: us(ev.AtNS), Pid: 1, Tid: tidServer,
-				Scope: "t", Args: map[string]interface{}{"a": ev.A, "b": ev.B},
+				Scope: "t", Args: map[string]any{"a": ev.A, "b": ev.B},
 			})
 		case "verdict":
 			closePhase(ev.AtNS)
-			evs = append(evs, traceEvent{
+			evs = append(evs, events.TraceEvent{
 				Name: "verdict: " + ev.Note, Phase: "i", Ts: us(ev.AtNS), Pid: 1, Tid: tidPhases,
 				Scope: "p",
 			})
@@ -113,56 +96,11 @@ func (r *Record) WriteTraceEvents(w io.Writer) error {
 	closePhase(r.EndedNS)
 
 	enc := json.NewEncoder(w)
-	return enc.Encode(traceFile{TraceEvents: evs, DisplayTimeUnit: "ms"})
+	return enc.Encode(events.TraceFile{TraceEvents: evs, DisplayTimeUnit: "ms"})
 }
 
-func meta(name string, tid int, args map[string]interface{}) traceEvent {
-	return traceEvent{Name: name, Phase: "M", Pid: 1, Tid: tid, Args: args}
-}
-
-// ValidateTraceEvents checks that data parses as Chrome trace-event
-// JSON: a traceEvents array whose entries all carry a name and a legal
-// phase, with non-negative timestamps and durations. It returns the
-// number of non-metadata events.
-func ValidateTraceEvents(data []byte) (int, error) {
-	var tf struct {
-		TraceEvents []struct {
-			Name  string   `json:"name"`
-			Phase string   `json:"ph"`
-			Ts    *float64 `json:"ts"`
-			Dur   *float64 `json:"dur"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &tf); err != nil {
-		return 0, fmt.Errorf("not valid JSON: %w", err)
-	}
-	if tf.TraceEvents == nil {
-		return 0, fmt.Errorf("missing traceEvents array")
-	}
-	count := 0
-	for i, ev := range tf.TraceEvents {
-		if ev.Name == "" {
-			return 0, fmt.Errorf("event %d: empty name", i)
-		}
-		switch ev.Phase {
-		case "M":
-			continue
-		case "X", "i", "I", "B", "E", "C":
-		default:
-			return 0, fmt.Errorf("event %d (%q): unknown phase %q", i, ev.Name, ev.Phase)
-		}
-		if ev.Ts == nil || *ev.Ts < 0 {
-			return 0, fmt.Errorf("event %d (%q): missing or negative ts", i, ev.Name)
-		}
-		if ev.Phase == "X" && ev.Dur != nil && *ev.Dur < 0 {
-			return 0, fmt.Errorf("event %d (%q): negative dur", i, ev.Name)
-		}
-		count++
-	}
-	if count == 0 {
-		return 0, fmt.Errorf("no events")
-	}
-	return count, nil
+func meta(name string, tid int, args map[string]any) events.TraceEvent {
+	return events.TraceEvent{Name: name, Phase: "M", Pid: 1, Tid: tid, Args: args}
 }
 
 // WriteNarrative renders the record as a tcpdump-style annotated text

@@ -34,6 +34,7 @@ func FuzzParseResponseHead(f *testing.F) {
 	f.Add([]byte("HTTP/1.1 200"))
 	f.Add([]byte("\x16\x03\x03"))
 	f.Add([]byte("HT"))
+	f.Add([]byte("HTTP/ 100000"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := ParseResponseHead(data)
 		if h == nil {

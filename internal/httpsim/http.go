@@ -238,7 +238,9 @@ func ParseResponseHead(b []byte) *ResponseHead {
 	line, rest, _ := bytes.Cut(head, headEnd[:2])
 	if _, after, ok := bytes.Cut(line, []byte(" ")); ok {
 		code, _, _ := bytes.Cut(after, []byte(" "))
-		if n, err := strconv.Atoi(string(code)); err == nil {
+		// A status code is three digits (RFC 9110 §15); anything else
+		// leaves StatusCode 0, unknown.
+		if n, err := strconv.Atoi(string(code)); err == nil && len(code) == 3 && n >= 100 {
 			h.StatusCode = n
 		}
 	}

@@ -10,8 +10,8 @@ import (
 // Journal validation: the jobs layer owns the semantic rules (which
 // lifecycle edges are legal, how spans nest, what a dispatch must
 // record) while internal/events owns the syntactic ones (sequence
-// contiguity, torn tails). iwtrace jobs -validate and the events-smoke
-// both run this over a journal file.
+// contiguity, torn tails). iwtrace jobs -validate runs this over a
+// journal file; the jobs tests run it over the journals they leave.
 
 // JournalSummary is the validator's accounting, printed by the
 // iwtrace jobs verb.

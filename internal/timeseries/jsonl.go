@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -117,8 +116,8 @@ func ReadJSONL(r io.Reader) (samples []Sample, anomalies []Anomaly, err error) {
 	return samples, anomalies, nil
 }
 
-// VerifyStream checks the invariants the telemetry smoke gate relies
-// on: at least one sample for every shard in [0, wantShards) (when
+// VerifyStream checks the invariants every -telemetry-out stream must
+// hold: at least one sample for every shard in [0, wantShards) (when
 // wantShards > 0), per-shard interval indexes strictly increasing
 // within each run segment, non-negative counter deltas, and — when
 // requireAnomaly is set — at least one anomaly line.
@@ -153,51 +152,4 @@ func VerifyStream(samples []Sample, anomalies []Anomaly, wantShards int, require
 		return fmt.Errorf("timeseries: no anomalies in stream (expected at least one)")
 	}
 	return nil
-}
-
-// SummarizeStream renders a human-readable digest of a parsed stream:
-// per-shard sample counts and probe volumes, plus the anomaly tally.
-func SummarizeStream(w io.Writer, samples []Sample, anomalies []Anomaly) {
-	perShard := make(map[int]struct {
-		n                   int
-		launched, completed int64
-		wallNS              int64
-	})
-	for i := range samples {
-		s := &samples[i]
-		agg := perShard[s.Shard]
-		agg.n++
-		agg.launched += s.C("engine.launched")
-		agg.completed += s.C("engine.completed")
-		agg.wallNS += s.WallNS
-		perShard[s.Shard] = agg
-	}
-	shards := make([]int, 0, len(perShard))
-	for id := range perShard {
-		shards = append(shards, id)
-	}
-	sort.Ints(shards)
-	for _, id := range shards {
-		agg := perShard[id]
-		fmt.Fprintf(w, "shard %d: %d samples, %d launched, %d completed, %.1f ms wall\n",
-			id, agg.n, agg.launched, agg.completed, float64(agg.wallNS)/1e6)
-	}
-	byKind := make(map[string]int)
-	for i := range anomalies {
-		byKind[anomalies[i].Kind]++
-	}
-	kinds := make([]string, 0, len(byKind))
-	for k := range byKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	if len(kinds) == 0 {
-		fmt.Fprintln(w, "anomalies: none")
-		return
-	}
-	parts := make([]string, 0, len(kinds))
-	for _, k := range kinds {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, byKind[k]))
-	}
-	fmt.Fprintf(w, "anomalies: %d (%s)\n", len(anomalies), strings.Join(parts, ", "))
 }

@@ -12,35 +12,48 @@ import (
 	"iwscan/internal/stats"
 )
 
-// The reference scan shared by the acceptance and golden tests: the
-// same parameters the checked-in goldens were captured from.
+// The reference scans the checked-in goldens were captured from, one per
+// golden. refHTTP is also the sample the acceptance tests judge.
 const (
 	refUniverseSeed = 2017
-	refScanSeed     = 2017
 	refSample       = 0.06
 )
 
+// reference is one zero-adversity reference scan of the 2017 universe,
+// run at most once per test binary.
+type reference struct {
+	golden   string
+	strategy string
+	scanSeed uint64
+
+	once    sync.Once
+	records []analysis.Record
+	report  *Report
+}
+
 var (
-	refOnce    sync.Once
-	refRecords []analysis.Record
-	refReport  *Report
+	refHTTP = &reference{golden: "testdata/golden-http-2017.json", strategy: "http", scanSeed: 2017}
+	refTLS  = &reference{golden: "testdata/golden-tls-2017.json", strategy: "tls", scanSeed: 2018}
 )
 
-// refScan runs (once) the zero-adversity reference scan: >= 10k probed
-// targets of the 2017 universe over HTTP.
-func refScan(t *testing.T) ([]analysis.Record, *Report) {
+// scan runs (once) the reference scan: >= 10k probed targets.
+func (r *reference) scan(t *testing.T) ([]analysis.Record, *Report) {
 	t.Helper()
-	refOnce.Do(func() {
+	r.once.Do(func() {
+		strat := core.StrategyHTTP
+		if r.strategy == "tls" {
+			strat = core.StrategyTLS
+		}
 		u := inet.NewInternet2017(refUniverseSeed)
 		res := experiments.RunScan(u, experiments.ScanConfig{
-			Seed:           refScanSeed,
-			Strategy:       core.StrategyHTTP,
+			Seed:           r.scanSeed,
+			Strategy:       strat,
 			SampleFraction: refSample,
 		})
-		refRecords = res.Records
-		refReport = BuildReport(NewOracle(u, 64), "http", refRecords)
+		r.records = res.Records
+		r.report = BuildReport(NewOracle(u, 64), r.strategy, r.records)
 	})
-	return refRecords, refReport
+	return r.records, r.report
 }
 
 // TestZeroAdversityAccuracy is the harness's acceptance gate: under
@@ -48,7 +61,7 @@ func refScan(t *testing.T) ([]analysis.Record, *Report) {
 // at least 99% of its definitive estimates, across a >= 10k-target
 // sample, with zero bound violations and zero ghosts.
 func TestZeroAdversityAccuracy(t *testing.T) {
-	records, rep := refScan(t)
+	records, rep := refHTTP.scan(t)
 	t.Log("\n" + rep.Render())
 	if len(records) < 10000 {
 		t.Fatalf("reference sample has %d records, want >= 10000", len(records))
@@ -78,7 +91,7 @@ func TestZeroAdversityAccuracy(t *testing.T) {
 // adversity the diagonal carries (nearly) all the mass and per-class
 // precision/recall of the dominant classes stays high.
 func TestConfusionDiagonalDominates(t *testing.T) {
-	_, rep := refScan(t)
+	_, rep := refHTTP.scan(t)
 	c := rep.Confusion
 	if c.Total() == 0 {
 		t.Fatal("empty confusion matrix")
@@ -100,21 +113,28 @@ func TestConfusionDiagonalDominates(t *testing.T) {
 	}
 }
 
-// TestGoldenMatchesReferenceScan pins the aggregate population to the
+// TestGoldenMatchesReferenceScan pins the aggregate population to each
 // checked-in golden: any change that shifts the measured IW
-// distribution outside tolerance fails here.
+// distribution outside tolerance fails here, as does a golden whose
+// parameters drifted from the scan it is compared against.
 func TestGoldenMatchesReferenceScan(t *testing.T) {
-	g, err := LoadGolden("testdata/golden-http-2017.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.UniverseSeed != refUniverseSeed || g.ScanSeed != refScanSeed || g.Sample != refSample {
-		t.Fatalf("golden parameters %d/%d/%v drifted from the reference scan %d/%d/%v",
-			g.UniverseSeed, g.ScanSeed, g.Sample, refUniverseSeed, refScanSeed, refSample)
-	}
-	records, rep := refScan(t)
-	if v := g.Compare(records, rep); len(v) != 0 {
-		t.Errorf("golden violations:\n  %s", strings.Join(v, "\n  "))
+	for _, ref := range []*reference{refHTTP, refTLS} {
+		t.Run(ref.strategy, func(t *testing.T) {
+			g, err := LoadGolden(ref.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.UniverseSeed != refUniverseSeed || g.ScanSeed != ref.scanSeed ||
+				g.Strategy != ref.strategy || g.Sample != refSample {
+				t.Fatalf("golden parameters %d/%d/%s/%v drifted from the reference scan %d/%d/%s/%v",
+					g.UniverseSeed, g.ScanSeed, g.Strategy, g.Sample,
+					refUniverseSeed, ref.scanSeed, ref.strategy, refSample)
+			}
+			records, rep := ref.scan(t)
+			if v := g.Compare(records, rep); len(v) != 0 {
+				t.Errorf("golden violations:\n  %s", strings.Join(v, "\n  "))
+			}
+		})
 	}
 }
 
