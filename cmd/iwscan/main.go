@@ -48,20 +48,23 @@
 //	iwscan -sample 0.5 -out big.csv -checkpoint big.ck -time-limit 1h  # stop early...
 //	iwscan -sample 0.5 -out big.csv -resume big.ck            # ...and pick up where it left off
 //
-// A resumed scan appends to -out (the formats are append-safe) and
-// produces, together with the interrupted run's output, exactly the
-// record stream an uninterrupted scan would have written. The
+// A resumed scan cuts -out back to the length the checkpoint recorded
+// (dropping records a crash left after it) and appends from there, so
+// the file ends up holding exactly the record stream an uninterrupted
+// scan would have written. The
 // checkpoint's fingerprint guards against resuming with a different
 // seed, strategy, sample fraction or blacklist.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -107,7 +110,7 @@ func main() {
 		retries  = flag.Int("retries", 0, "re-launch unreachable probes up to N extra times before giving up")
 		ckPath   = flag.String("checkpoint", "", "periodically write resumable scan state to this file")
 		ckEvery  = flag.Duration("checkpoint-every", 10*time.Second, "virtual-time interval between checkpoints")
-		resume   = flag.String("resume", "", "resume an interrupted scan from this checkpoint file (appends to -out)")
+		resume   = flag.String("resume", "", "resume an interrupted scan from this checkpoint file (continues -out where the checkpoint left it)")
 		tlimit   = flag.Duration("time-limit", 0, "stop the scan after this much virtual time, leaving a checkpoint (0 = run to completion)")
 		quiet    = flag.Bool("q", false, "suppress the summary on stderr (also skips record retention for it: O(buffer) memory)")
 
@@ -131,15 +134,8 @@ func main() {
 	)
 	flag.Parse()
 
-	var strat core.Strategy
-	switch *strategy {
-	case "http":
-		strat = core.StrategyHTTP
-	case "tls":
-		strat = core.StrategyTLS
-	case "syn":
-		strat = core.StrategySYN
-	default:
+	strat, err := core.ParseStrategy(*strategy)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "iwscan: unknown strategy %q\n", *strategy)
 		os.Exit(2)
 	}
@@ -149,13 +145,15 @@ func main() {
 
 	// Reject flag combinations that earlier versions resolved silently
 	// (dropping -parallel under -pcap, overwriting user shard specs).
-	userSharded, userSampled := false, false
+	userSharded, userSampled, smartFlagSet := false, false, false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "shard", "shards":
 			userSharded = true
 		case "sample":
 			userSampled = true
+		case "smart-threshold", "smart-explore", "smart-min-probes", "smart-update":
+			smartFlagSet = true
 		}
 	})
 	// A hitlist is already a curated target set: probe all of it unless
@@ -186,13 +184,6 @@ func main() {
 	if *alexa > 0 && (*ckPath != "" || *resume != "" || *tlimit > 0) {
 		fatalf("-checkpoint/-resume/-time-limit apply to address-space scans, not -alexa list scans")
 	}
-	smartFlagSet := false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "smart-threshold", "smart-explore", "smart-min-probes", "smart-update":
-			smartFlagSet = true
-		}
-	})
 	if *smartModel == "" && smartFlagSet {
 		fatalf("-smart-threshold/-smart-explore/-smart-min-probes/-smart-update need -smart-model")
 	}
@@ -243,20 +234,14 @@ func main() {
 			os.Remove(probe)
 		}
 		if *flightOn != "" {
-			valid := make(map[string]bool)
-			for _, v := range validate.VerdictNames() {
-				valid[v] = true
-			}
-			for _, o := range []string{"success", "few-data", "no-data", "error", "unreachable", "all"} {
-				valid[o] = true
-			}
+			valid := append(validate.VerdictNames(), "success", "few-data", "no-data", "error", "unreachable", "all")
 			fcfg.Triggers = make(map[string]bool)
 			for _, v := range strings.Split(*flightOn, ",") {
 				v = strings.TrimSpace(v)
 				if v == "" {
 					continue
 				}
-				if !valid[v] {
+				if !slices.Contains(valid, v) {
 					fatalf("-flight-on: unknown verdict %q (valid: %s, plus outcome taxa and 'all')",
 						v, strings.Join(validate.VerdictNames(), ", "))
 				}
@@ -295,24 +280,29 @@ func main() {
 		rec = trace.NewRecorder()
 	}
 
-	// Output sink: records stream through it as the scan runs. An async
-	// stage decouples the simulation from file I/O; its bounded queue
-	// pushes back instead of growing.
-	outFile := os.Stdout
-	if *out != "" {
-		oflags := os.O_WRONLY | os.O_CREATE
-		if *resume != "" {
-			oflags |= os.O_APPEND
-		} else {
-			oflags |= os.O_TRUNC
-		}
-		f, err := os.OpenFile(*out, oflags, 0o644)
-		if err != nil {
+	var resumeSt *checkpoint.State
+	if *resume != "" {
+		if resumeSt, err = checkpoint.Load(*resume); err != nil {
 			fatalf("%v", err)
 		}
-		outFile = f
 	}
-	fileSink, err := output.NewFileSink(outFile, *format, *resume != "")
+
+	// Output sink: records stream through it as the scan runs. An async
+	// stage decouples the simulation from file I/O; its bounded queue
+	// pushes back instead of growing. On -resume, -out is spliced at the
+	// length the checkpoint recorded, dropping whatever a crash after
+	// that checkpoint left behind; stdout can only be appended to.
+	var fileSink output.Sink
+	switch {
+	case *out == "":
+		fileSink, err = output.NewFileSink(os.Stdout, *format, resumeSt != nil)
+	case resumeSt == nil:
+		fileSink, err = output.OpenFileSink(*out, *format, 0)
+	case resumeSt.OutputBytes == nil:
+		fatalf("-resume %s: %v", *resume, checkpoint.ErrNoOutputBytes)
+	default:
+		fileSink, err = output.OpenFileSink(*out, *format, *resumeSt.OutputBytes)
+	}
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -326,11 +316,9 @@ func main() {
 	if *alexa == 0 && (*telemOut != "" || *telemIv > 0 || dbg != nil) {
 		ts = timeseries.NewStore(timeseries.Config{Interval: netsim.Time(*telemIv)})
 		if *telemOut != "" {
-			tflags := os.O_WRONLY | os.O_CREATE
+			tflags := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
 			if *resume != "" {
-				tflags |= os.O_APPEND // stream stays valid across resumes
-			} else {
-				tflags |= os.O_TRUNC
+				tflags = os.O_WRONLY | os.O_CREATE | os.O_APPEND // stream stays valid across resumes
 			}
 			f, err := os.OpenFile(*telemOut, tflags, 0o644)
 			if err != nil {
@@ -361,9 +349,13 @@ func main() {
 			StatusInterval:     *statusIv,
 			Sink:               sink,
 			KeepRecords:        !*quiet,
-			CheckpointPath:     *ckPath,
+			CheckpointPath:     cmp.Or(*ckPath, *resume), // keep checkpointing a resumed run
+			Resume:             resumeSt,
 			CheckpointInterval: netsim.Time(*ckEvery),
 			TimeLimit:          netsim.Time(*tlimit),
+			PcapRecorder:       rec,
+			Debug:              dbg,
+			Timeseries:         ts,
 		}
 		if *smartUpdate && *out == "" {
 			// Training re-reads -out after the scan; without a file the
@@ -432,19 +424,6 @@ func main() {
 					len(cfg.Hitlist), *hitlist, len(recs))
 			}
 		}
-		if *resume != "" {
-			st, err := checkpoint.Load(*resume)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			cfg.Resume = st
-			if cfg.CheckpointPath == "" {
-				cfg.CheckpointPath = *resume // keep checkpointing the resumed run
-			}
-		}
-		if rec != nil {
-			cfg.PcapRecorder = rec
-		}
 		if *reorderP > 0 {
 			// An explicit path replaces the default wholesale, so fold
 			// the loss probability in rather than losing it.
@@ -478,12 +457,6 @@ func main() {
 				return v.String(), detail
 			}
 		}
-		if dbg != nil {
-			cfg.Debug = dbg
-		}
-		if ts != nil {
-			cfg.Timeseries = ts
-		}
 		if *parallel > 1 {
 			res, err = experiments.RunScanParallelChecked(u, cfg, *parallel)
 		} else {
@@ -494,15 +467,10 @@ func main() {
 		}
 	}
 
-	// Drain the async queue and flush the file sink, then close the
-	// file, checking both: a full disk is often only reported here.
+	// Drain the async queue, then flush, fsync and close -out, checking
+	// the error: a full disk is often only reported here.
 	if err := sink.Close(); err != nil {
 		fatalf("writing records: %v", err)
-	}
-	if outFile != os.Stdout {
-		if err := outFile.Close(); err != nil {
-			fatalf("closing %s: %v", *out, err)
-		}
 	}
 
 	// Model-update-on-completion: fold the finished scan into the
@@ -621,13 +589,9 @@ func main() {
 	}
 
 	if res.Incomplete {
-		effCk := *ckPath
-		if effCk == "" {
-			effCk = *resume
-		}
 		fmt.Fprintf(os.Stderr,
 			"iwscan: scan stopped at time limit after %d probes; resume with -resume %s\n",
-			res.Engine.Launched, orDefault(effCk, "<checkpoint file>"))
+			res.Engine.Launched, cmp.Or(*ckPath, *resume, "<checkpoint file>"))
 	}
 
 	if !*quiet {
@@ -646,11 +610,4 @@ func main() {
 				analysis.FormatDistribution(analysis.IWDistribution(res.Records)))
 		}
 	}
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"iwscan/internal/checkpoint"
 	"iwscan/internal/events"
 	"iwscan/internal/flight"
 	"iwscan/internal/output"
@@ -35,6 +36,105 @@ func iwscan(t *testing.T, args ...string) {
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("iwscan %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+}
+
+// TestCLIRejectsFlagConflicts: every flag combination iwscan refuses
+// exits non-zero with its message before scanning starts (-out is never
+// created).
+func TestCLIRejectsFlagConflicts(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-strategy", "ftp"}, `unknown strategy "ftp"`},
+		{[]string{"-sample", "0"}, "-sample 0 out of range"},
+		{[]string{"-parallel", "2", "-pcap", "x.pcap"}, "-parallel and -pcap are incompatible"},
+		{[]string{"-parallel", "2", "-shards", "2"}, "-parallel assigns shard numbers itself"},
+		{[]string{"-parallel", "2", "-checkpoint", "x.ck"}, "-checkpoint/-resume track one engine per process"},
+		{[]string{"-parallel", "2", "-flight-dir", "fr"}, "the flight recorder observes one simulation"},
+		{[]string{"-alexa", "10", "-time-limit", "1s"}, "-checkpoint/-resume/-time-limit apply to address-space scans"},
+		{[]string{"-smart-update"}, "need -smart-model"},
+		{[]string{"-smart-model", "m.iwsm", "-hitlist", "h.csv"}, "different target-selection modes"},
+		{[]string{"-alexa", "10", "-hitlist", "h.csv"}, "-smart-model/-hitlist apply to address-space scans"},
+		{[]string{"-smart-model", "m.iwsm", "-smart-threshold", "1"}, "-smart-threshold 1 out of range"},
+		{[]string{"-smart-model", "m.iwsm", "-smart-explore", "1"}, "-smart-explore 1 out of range"},
+		{[]string{"-alexa", "10", "-telemetry-out", "t.jsonl"}, "-telemetry-out apply to address-space scans"},
+		{[]string{"-flight-sample", "2", "-flight-dir", "fr"}, "-flight-sample 2 out of range"},
+		{[]string{"-flight-on", "ghost"}, "flight recording needs somewhere to surface records"},
+		{[]string{"-flight-on", "bogus", "-flight-dir", "fr"}, `-flight-on: unknown verdict "bogus"`},
+	} {
+		dir := t.TempDir()
+		out := filepath.Join(dir, "out.csv")
+		cmd := exec.Command(os.Args[0], append(tc.args, "-out", out)...)
+		cmd.Dir = dir
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		msg, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(msg), tc.want) {
+			t.Errorf("iwscan %s: err = %v, output %q; want failure mentioning %q",
+				strings.Join(tc.args, " "), err, msg, tc.want)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("iwscan %s: -out exists (stat err %v); the refusal came after the scan began",
+				strings.Join(tc.args, " "), err)
+		}
+	}
+}
+
+// TestCLIResumeSplicesCrashTail is the crash-resume gate: a scan killed
+// between two checkpoints leaves records past the last checkpoint's
+// output_bytes in -out, the final one torn. -resume must cut them and
+// continue, so the file ends byte-identical to an uninterrupted run's in
+// every output format.
+func TestCLIResumeSplicesCrashTail(t *testing.T) {
+	t.Parallel()
+	for _, format := range []string{"csv", "jsonl", "bin"} {
+		t.Run(format, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			ref, out, ck := filepath.Join(dir, "ref"), filepath.Join(dir, "out"), filepath.Join(dir, "scan.ck")
+			scan := func(extra ...string) []string {
+				return append([]string{"-sample", "0.004", "-seed", "5", "-rate", "100", "-format", format, "-q"}, extra...)
+			}
+			iwscan(t, scan("-out", ref)...)
+			iwscan(t, scan("-out", out, "-checkpoint", ck, "-time-limit", "12s")...)
+			want, err := os.ReadFile(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := checkpoint.Load(ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.OutputBytes == nil || *st.OutputBytes != int64(len(seg)) {
+				t.Fatalf("checkpoint output_bytes = %v, want the file's %d bytes", st.OutputBytes, len(seg))
+			}
+			// The crash tail: the next records an uninterrupted run
+			// writes, cut off mid-record.
+			const tail = 1000
+			if !bytes.Equal(seg, want[:len(seg)]) || len(seg)+tail >= len(want) {
+				t.Fatalf("time-limited segment wrote %d bytes, want a strict prefix of the %d-byte reference", len(seg), len(want))
+			}
+			if err := os.WriteFile(out, want[:len(seg)+tail], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			iwscan(t, scan("-out", out, "-resume", ck)...)
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("resumed output is %d bytes, uninterrupted run %d: not byte-identical", len(got), len(want))
+			}
+			if _, err := output.ReadRecordsFile(out); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

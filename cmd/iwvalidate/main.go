@@ -57,13 +57,8 @@ func main() {
 	)
 	flag.Parse()
 
-	var strat core.Strategy
-	switch *strategy {
-	case "http":
-		strat = core.StrategyHTTP
-	case "tls":
-		strat = core.StrategyTLS
-	default:
+	strat, err := core.ParseStrategy(*strategy)
+	if err != nil || strat == core.StrategySYN {
 		fatalf("unknown strategy %q (want http or tls)", *strategy)
 	}
 	if *sample <= 0 || *sample > 1 {

@@ -12,6 +12,7 @@ package checkpoint
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -23,6 +24,10 @@ import (
 
 // Version is the current checkpoint schema version.
 const Version = 1
+
+// ErrNoOutputBytes refuses a resume whose checkpoint does not record the
+// output file's length: appending blindly would duplicate records.
+var ErrNoOutputBytes = errors.New("checkpoint: no output_bytes recorded, so the output file cannot be spliced")
 
 // ShardState is one shard's resume point plus its reporting counters.
 type ShardState struct {
@@ -53,6 +58,11 @@ type State struct {
 	// VirtualNS is the virtual-time clock (ns) when the checkpoint was
 	// taken.
 	VirtualNS int64 `json:"virtual_ns"`
+	// OutputBytes is the byte length of the scan's output file when the
+	// checkpoint was taken — the point a resume splices at, cutting any
+	// tail written after it. Nil when the output had no known length
+	// (a stream) and in checkpoints written before it was recorded.
+	OutputBytes *int64 `json:"output_bytes,omitempty"`
 	// Shards holds one cursor per engine instance; a single-process
 	// scan has exactly one entry.
 	Shards []ShardState `json:"shards"`
@@ -100,29 +110,12 @@ func (e *MismatchError) Error() string {
 		e.CheckpointFingerprint, e.ScanFingerprint)
 }
 
-// Validate checks that the checkpoint can seed a scan with the given
-// configuration fingerprint. A fingerprint mismatch is returned as a
-// *MismatchError (without field diagnosis — use ValidateConfig for
-// that).
-func (s *State) Validate(fingerprint string) error {
-	if s.Version != Version {
-		return fmt.Errorf("checkpoint: version %d, want %d", s.Version, Version)
-	}
-	if s.Fingerprint != fingerprint {
-		return &MismatchError{CheckpointFingerprint: s.Fingerprint, ScanFingerprint: fingerprint}
-	}
-	if s.Completed {
-		return fmt.Errorf("checkpoint: scan already completed")
-	}
-	return nil
-}
-
-// ValidateConfig is Validate with field-level diagnosis: the scan's
-// configuration arrives as named fields, and on a fingerprint mismatch
-// the returned *MismatchError lists exactly which fields differ
-// between the checkpoint and the resuming scan (when the checkpoint
-// recorded its own field breakdown; older checkpoints fall back to the
-// hash-only message).
+// ValidateConfig checks that the checkpoint can seed a scan whose
+// configuration is the given named fields: the schema version must
+// match, the checkpoint must not be completed, and the fingerprints
+// must agree. A mismatch is a *MismatchError listing exactly which
+// fields differ (when the checkpoint recorded its own field breakdown;
+// older checkpoints fall back to the hash-only message).
 func (s *State) ValidateConfig(fields []Field) error {
 	fp := FingerprintFields(fields)
 	if s.Version != Version {
@@ -146,12 +139,7 @@ func (s *State) ValidateConfig(fields []Field) error {
 // leaves the previous checkpoint intact rather than a torn file.
 func Save(path string, s *State) error {
 	s.Version = Version
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	return WriteFileAtomic(path, data)
+	return SaveJSON(path, s)
 }
 
 // WriteFileAtomic writes data to path with the same crash discipline
@@ -172,15 +160,13 @@ func WriteFileAtomic(path string, data []byte) error {
 	if cerr := tmp.Close(); werr == nil {
 		werr = cerr
 	}
+	if werr == nil {
+		werr = os.Rename(tmp.Name(), path)
+	}
 	if werr != nil {
 		os.Remove(tmp.Name())
-		return werr
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return werr
 }
 
 // SaveJSON marshals v (indented, trailing newline) and writes it with
@@ -210,19 +196,6 @@ func Load(path string) (*State, error) {
 	return &s, nil
 }
 
-// Fingerprint hashes the identity-defining parts of a scan
-// configuration into a short stable string. Two configurations with the
-// same fingerprint walk the same permutation over the same space and
-// produce the same record for every target, which is exactly the
-// precondition for splicing a resumed run onto a checkpointed one.
-func Fingerprint(parts ...any) string {
-	h := fnv.New64a()
-	for _, p := range parts {
-		fmt.Fprintf(h, "%v|", p)
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 // Field is one named, human-readable component of a configuration
 // fingerprint. Keeping the name alongside the rendered value is what
 // lets a resume rejection say "seed: checkpoint 5, scan 6" instead of
@@ -233,8 +206,8 @@ type Field struct {
 }
 
 // FieldList builds a field slice from alternating name, value pairs
-// (values are rendered with %v, matching Fingerprint). It panics on an
-// odd argument count or a non-string name — both are programmer errors.
+// (values are rendered with %v). It panics on an odd argument count or
+// a non-string name — both are programmer errors.
 func FieldList(pairs ...any) []Field {
 	if len(pairs)%2 != 0 {
 		panic("checkpoint: FieldList needs name, value pairs")
@@ -250,9 +223,13 @@ func FieldList(pairs ...any) []Field {
 	return out
 }
 
-// FingerprintFields hashes a field list into the fingerprint string.
-// Names participate in the hash, so renaming or reordering fields
-// (deliberately) changes the fingerprint.
+// FingerprintFields hashes a field list into the fingerprint string: a
+// short stable digest of the identity-defining parts of a scan
+// configuration. Two configurations with the same fingerprint walk the
+// same permutation over the same space and produce the same record for
+// every target, which is exactly the precondition for splicing a
+// resumed run onto a checkpointed one. Names participate in the hash,
+// so renaming or reordering fields (deliberately) changes it.
 func FingerprintFields(fields []Field) string {
 	h := fnv.New64a()
 	for _, f := range fields {

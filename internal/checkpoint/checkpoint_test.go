@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,10 +12,12 @@ import (
 	"iwscan/internal/scanner"
 )
 
+var sampleFields = FieldList("tool", "iwscan", "seed", 2017, "sample_fraction", 0.01)
+
 func sampleState() *State {
 	return &State{
 		Version:     Version,
-		Fingerprint: Fingerprint("iwscan", 2017, 0.01),
+		Fingerprint: FingerprintFields(sampleFields),
 		VirtualNS:   123456789,
 		Shards: []ShardState{{
 			Shard: 2, Shards: 4,
@@ -91,24 +94,26 @@ func TestSaveIsAtomic(t *testing.T) {
 
 func TestValidateRejectsMismatchedFingerprint(t *testing.T) {
 	s := sampleState()
-	if err := s.Validate(s.Fingerprint); err != nil {
+	if err := s.ValidateConfig(sampleFields); err != nil {
 		t.Fatalf("matching fingerprint rejected: %v", err)
 	}
-	if err := s.Validate(Fingerprint("iwscan", 2018, 0.01)); err == nil {
-		t.Fatal("mismatched fingerprint accepted")
+	other := FieldList("tool", "iwscan", "seed", 2018, "sample_fraction", 0.01)
+	var mm *MismatchError
+	if err := s.ValidateConfig(other); !errors.As(err, &mm) {
+		t.Fatalf("mismatched fingerprint: err = %v, want a *MismatchError", err)
 	}
 }
 
 func TestValidateRejectsCompletedAndWrongVersion(t *testing.T) {
 	s := sampleState()
 	s.Completed = true
-	if err := s.Validate(s.Fingerprint); err == nil ||
+	if err := s.ValidateConfig(sampleFields); err == nil ||
 		!strings.Contains(err.Error(), "completed") {
 		t.Fatalf("completed checkpoint accepted for resume (err=%v)", err)
 	}
 	s = sampleState()
 	s.Version = Version + 1
-	if err := s.Validate(s.Fingerprint); err == nil {
+	if err := s.ValidateConfig(sampleFields); err == nil {
 		t.Fatal("wrong-version checkpoint accepted")
 	}
 }
@@ -149,15 +154,17 @@ func TestFindLocatesShardSlice(t *testing.T) {
 }
 
 func TestFingerprintStableAndSensitive(t *testing.T) {
-	a := Fingerprint("iwscan", uint64(1), 0.5, []int{64, 128})
-	b := Fingerprint("iwscan", uint64(1), 0.5, []int{64, 128})
+	fp := func(seed uint64, mss []int) string {
+		return FingerprintFields(FieldList("seed", seed, "sample", 0.5, "mss", mss))
+	}
+	a, b := fp(1, []int{64, 128}), fp(1, []int{64, 128})
 	if a != b {
 		t.Fatalf("fingerprint not deterministic: %s vs %s", a, b)
 	}
-	if a == Fingerprint("iwscan", uint64(2), 0.5, []int{64, 128}) {
+	if a == fp(2, []int{64, 128}) {
 		t.Fatal("fingerprint insensitive to the seed")
 	}
-	if a == Fingerprint("iwscan", uint64(1), 0.5, []int{64}) {
+	if a == fp(1, []int{64}) {
 		t.Fatal("fingerprint insensitive to the MSS list")
 	}
 }

@@ -37,6 +37,17 @@ func (s Strategy) String() string {
 	}
 }
 
+// ParseStrategy maps a strategy name onto the enum; it is the inverse
+// of String.
+func ParseStrategy(name string) (Strategy, error) {
+	for _, s := range []Strategy{StrategyHTTP, StrategyTLS, StrategySYN} {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown strategy %q (want http, tls or syn)", name)
+}
+
 // DefaultPort returns the strategy's standard port.
 func (s Strategy) DefaultPort() uint16 {
 	if s == StrategyTLS {

@@ -90,17 +90,14 @@ func RunScanParallelChecked(u *inet.Universe, cfg ScanConfig, shards int) (*Scan
 			if handles != nil {
 				c.Sink = handles[shard]
 			}
-			if c.StatusOut != nil && c.StatusInterval > 0 {
-				// All shards progress in lockstep through the same space,
-				// so one reporting shard (tagged) tells the whole story
-				// without interleaving N writers on one stream.
-				if shard == 0 {
-					c.StatusLabel = fmt.Sprintf("[shard 0/%d] ", shards)
-				} else {
-					c.StatusOut = nil
-				}
+			// All shards progress in lockstep through the same space, so
+			// one reporting shard (tagged) tells the whole story without
+			// interleaving N writers on one stream.
+			label := fmt.Sprintf("[shard 0/%d] ", shards)
+			if shard != 0 {
+				c.StatusOut = nil
 			}
-			results[shard], errs[shard] = RunScanChecked(u, c)
+			results[shard], errs[shard] = runScan(u, c, label)
 			if handles != nil {
 				if err := handles[shard].Close(); err != nil && errs[shard] == nil {
 					errs[shard] = err

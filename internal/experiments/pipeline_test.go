@@ -117,7 +117,7 @@ func runSegmentsCfg(t *testing.T, u *inet.Universe, mk func() ScanConfig, buf *b
 				t.Fatalf("segment %d: checkpoint already completed but last run was incomplete", seg)
 			}
 			cfg.Resume = st
-			cfg.Sink = output.NewCSVAppendSink(buf)
+			cfg.Sink, _ = output.NewFileSink(buf, "csv", true)
 		}
 		res, err := RunScanChecked(u, cfg)
 		if err != nil {
@@ -219,7 +219,7 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	// The matching configuration does resume.
 	good := streamCfg()
 	good.Resume = st
-	good.Sink = output.NewCSVAppendSink(io.Discard)
+	good.Sink, _ = output.NewFileSink(io.Discard, "csv", true)
 	if _, err := RunScanChecked(u, good); err != nil {
 		t.Fatalf("resume with the matching config failed: %v", err)
 	}

@@ -180,7 +180,7 @@ func TestParallelScrapeCheckpointRaceStress(t *testing.T) {
 						return
 					}
 					cfg.Resume = st
-					cfg.Sink = output.NewBinaryAppendSink(&got)
+					cfg.Sink, _ = output.NewFileSink(&got, "bin", true)
 				}
 				res, err := RunScanChecked(u, cfg)
 				if err != nil {

@@ -112,8 +112,6 @@ type ScanConfig struct {
 	// wall time while the scan runs.
 	StatusInterval time.Duration
 	StatusOut      io.Writer
-	// StatusLabel prefixes each progress line (e.g. a shard tag).
-	StatusLabel string
 
 	// Sink, when set, receives records as they complete — in permutation
 	// order, one at a time — so the scan holds O(buffer) records in
@@ -127,7 +125,8 @@ type ScanConfig struct {
 	KeepRecords bool
 	// CheckpointPath enables periodic, atomically written scan-state
 	// checkpoints to this file. A checkpoint's cursor is consistent with
-	// the Sink contents: everything below it has been flushed.
+	// the Sink contents: everything below it has been flushed, and when
+	// the Sink is an output.Sizer the checkpoint records its length.
 	CheckpointPath string
 	// CheckpointInterval is the virtual-time period between checkpoints
 	// (default 10 virtual seconds).
@@ -234,9 +233,8 @@ func (c *ScanConfig) space(u *inet.Universe) *scanner.TargetSpace {
 }
 
 // ConfigFields returns the named fingerprint fields this configuration
-// would produce against u — the same fields RunScanChecked embeds in
-// checkpoints and validates resumes against. The jobs control plane
-// uses it to build checkpoint states of its own at slice boundaries.
+// would produce against u — the fields RunScanChecked records in its
+// checkpoints — for callers that need them without running a scan.
 func (c *ScanConfig) ConfigFields(u *inet.Universe) []checkpoint.Field {
 	cfg := c.withDefaults()
 	return cfg.configFields(u.Seed, cfg.space(u).Size())
@@ -255,9 +253,6 @@ type ScanResult struct {
 	Metrics metrics.Snapshot
 	// Incomplete marks a scan stopped by TimeLimit before finishing.
 	Incomplete bool
-	// Cursor is the engine's final consistent frontier (useful for
-	// inspecting what a checkpoint at this moment would contain).
-	Cursor *scanner.Cursor
 	// MaxBuffered is the high-water mark of records held in the
 	// streaming pipeline's reorder buffer — the O(buffer) figure that
 	// replaces the old O(targets) accumulation when a Sink is used.
@@ -266,6 +261,10 @@ type ScanResult struct {
 	// (in shard order; empty for serial scans). Engine above is their
 	// sum — these are the inputs to per-shard rate and scaling analyses.
 	ShardEngines []scanner.Stats
+	// Checkpoint is the resume state at the end of a serial run (what
+	// CheckpointPath receives, minus the metrics snapshot); nil for
+	// parallel runs.
+	Checkpoint *checkpoint.State
 }
 
 // RunScan scans the universe's whole announced space with one strategy.
@@ -283,6 +282,12 @@ func RunScan(u *inet.Universe, cfg ScanConfig) *ScanResult {
 // mismatches, checkpoint I/O failures and sink write failures surface
 // as errors instead of panics.
 func RunScanChecked(u *inet.Universe, cfg ScanConfig) (*ScanResult, error) {
+	return runScan(u, cfg, "")
+}
+
+// runScan is RunScanChecked with a prefix for the status reporter's
+// lines (RunScanParallelChecked tags its reporting shard).
+func runScan(u *inet.Universe, cfg ScanConfig, statusLabel string) (*ScanResult, error) {
 	cfg = cfg.withDefaults()
 	n := netsim.New(cfg.Seed)
 	if cfg.Path != nil {
@@ -411,12 +416,16 @@ func RunScanChecked(u *inet.Universe, cfg ScanConfig) (*ScanResult, error) {
 		}
 	}
 
-	writeCheckpoint := func(complete bool) error {
+	// writeCheckpoint flushes the sink and captures the resume state
+	// consistent with it, saving it (with a metrics snapshot) when
+	// CheckpointPath is set.
+	writeCheckpoint := func(complete bool) (*checkpoint.State, error) {
 		if err := base.Flush(); err != nil {
-			return err
+			return nil, err
 		}
 		st := eng.Stats()
 		ck := &checkpoint.State{
+			Version:     checkpoint.Version,
 			Fingerprint: fp,
 			Config:      fields,
 			Completed:   complete,
@@ -427,11 +436,20 @@ func RunScanChecked(u *inet.Universe, cfg ScanConfig) (*ScanResult, error) {
 				Skipped: st.Skipped, Pruned: st.Pruned, Retries: st.Retries,
 			}},
 		}
+		if sz, ok := cfg.Sink.(output.Sizer); ok {
+			if size, known := sz.Size(); known {
+				ck.OutputBytes = &size
+			}
+		}
+		if cfg.CheckpointPath == "" {
+			return ck, nil
+		}
+		saved := *ck
 		var buf bytes.Buffer
 		if err := n.Metrics().Snapshot().WriteJSON(&buf); err == nil {
-			ck.Metrics = buf.Bytes()
+			saved.Metrics = buf.Bytes()
 		}
-		return checkpoint.Save(cfg.CheckpointPath, ck)
+		return ck, checkpoint.Save(cfg.CheckpointPath, &saved)
 	}
 
 	finished := false
@@ -461,13 +479,14 @@ func RunScanChecked(u *inet.Universe, cfg ScanConfig) (*ScanResult, error) {
 			if finished {
 				return
 			}
-			keepErr(writeCheckpoint(false))
+			_, err := writeCheckpoint(false)
+			keepErr(err)
 			ckTimer = n.After(interval, tick)
 		}
 		ckTimer = n.After(interval, tick)
 	}
 	if cfg.StatusInterval > 0 && cfg.StatusOut != nil {
-		reporter = startStatusReporter(cfg.StatusOut, n, eng, cfg.StatusLabel, cfg.StatusInterval, cfg.Timeseries)
+		reporter = startStatusReporter(cfg.StatusOut, n, eng, statusLabel, cfg.StatusInterval, cfg.Timeseries)
 	}
 	eng.Start()
 	if cfg.TimeLimit > 0 {
@@ -488,10 +507,9 @@ func RunScanChecked(u *inet.Universe, cfg ScanConfig) (*ScanResult, error) {
 		res.Engine = eng.Stats()
 		res.Engine.FinishedAt = n.Now()
 	}
-	if cfg.CheckpointPath != "" {
-		keepErr(writeCheckpoint(finished))
-	}
-	keepErr(base.Flush())
+	ck, err := writeCheckpoint(finished)
+	keepErr(err)
+	res.Checkpoint = ck
 	res.Net = n.Stats()
 	res.Scan = sc.Stats()
 	res.VirtualTime = res.Engine.Duration()
@@ -499,8 +517,6 @@ func RunScanChecked(u *inet.Universe, cfg ScanConfig) (*ScanResult, error) {
 	if mem != nil {
 		res.Records = mem.Records()
 	}
-	cur := eng.Cursor()
-	res.Cursor = &cur
 	res.MaxBuffered = reorder.MaxPending()
 	return res, sinkErr
 }

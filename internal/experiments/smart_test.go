@@ -248,7 +248,7 @@ func TestSmartResumeRejectsDifferentModel(t *testing.T) {
 	good := smartBaseCfg()
 	good.Smart = plan
 	good.Resume = st
-	good.Sink = output.NewCSVAppendSink(io.Discard)
+	good.Sink, _ = output.NewFileSink(io.Discard, "csv", true)
 	if _, err := RunScanChecked(u, good); err != nil {
 		t.Fatalf("resume with the matching plan failed: %v", err)
 	}

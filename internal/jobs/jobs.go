@@ -27,6 +27,7 @@
 package jobs
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -182,11 +183,8 @@ func (s *Spec) Normalize() error {
 	if s.UniverseSeed == 0 {
 		s.UniverseSeed = 2017
 	}
-	switch s.Strategy {
-	case "":
-		s.Strategy = "http"
-	case "http", "tls", "syn":
-	default:
+	s.Strategy = cmp.Or(s.Strategy, "http")
+	if _, err := core.ParseStrategy(s.Strategy); err != nil {
 		problems = append(problems, fmt.Sprintf("unknown strategy %q (want http, tls or syn)", s.Strategy))
 	}
 	if s.SampleFraction == 0 {
@@ -288,16 +286,11 @@ func (s *Spec) universe() *inet.Universe {
 	}
 }
 
-// strategy maps the spec's strategy name onto the core enum.
+// strategy maps the spec's strategy name onto the core enum. Normalize
+// must have accepted the spec first.
 func (s *Spec) strategy() core.Strategy {
-	switch s.Strategy {
-	case "tls":
-		return core.StrategyTLS
-	case "syn":
-		return core.StrategySYN
-	default:
-		return core.StrategyHTTP
-	}
+	st, _ := core.ParseStrategy(s.Strategy)
+	return st
 }
 
 // applyTargets resolves the spec's scan mode into the segment config:

@@ -3,7 +3,6 @@ package jobs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,7 +14,6 @@ import (
 	"iwscan/internal/events"
 	"iwscan/internal/experiments"
 	"iwscan/internal/flight"
-	"iwscan/internal/inet"
 	"iwscan/internal/metrics"
 	"iwscan/internal/netsim"
 	"iwscan/internal/output"
@@ -710,16 +708,13 @@ func (m *Manager) viewLocked(j *job) JobView {
 		ID: j.ID, Name: j.Spec.Name, Tenant: j.Spec.Tenant, Weight: t.Weight,
 		State: j.State, PauseRequested: j.PauseRequested, CancelRequested: j.CancelRequested,
 		Error: j.Error, Spec: j.Spec, EffectiveRate: j.EffectiveRate,
-		Estimate: j.Estimate, RecordsEmitted: j.Frontier,
+		Estimate: j.Estimate, RecordsEmitted: j.Frontier, CursorSeq: j.Frontier,
 		Launched: j.Launched, Completed: j.Completed, Skipped: j.Skipped,
 		Pruned: j.Pruned, Retries: j.Retries,
 		Slices: j.Slices, VirtualNS: j.VirtualNS, ArtifactBytes: j.ArtifactBytes,
 		Anomalies:     j.Anomalies,
 		Artifact:      filepath.Join("jobs", j.ID, j.Spec.artifactName()),
 		CreatedUnixNS: j.CreatedUnixNS, UpdatedUnixNS: j.UpdatedUnixNS,
-	}
-	if j.Checkpoint != nil && len(j.Checkpoint.Shards) > 0 {
-		v.CursorSeq = j.Checkpoint.Shards[0].Cursor.Seq
 	}
 	if j.Estimate > 0 {
 		v.Progress = float64(j.Frontier) / float64(j.Estimate)
@@ -904,12 +899,8 @@ func (m *Manager) runSegment(j *job) {
 	segSpan := events.SegmentSpan(j.ID, slices)
 	sev := jobEvent(j, events.TypeSegmentStart)
 	sev.Span, sev.Parent, sev.Phase = segSpan, events.JobSpan(j.ID), events.PhaseBegin
-	resumeSeq := uint64(0)
-	if resume != nil && len(resume.Shards) > 0 {
-		resumeSeq = resume.Shards[0].Cursor.Seq
-	}
 	sev.Fields = map[string]any{
-		"slice": slices, "resume_seq": resumeSeq, "artifact_bytes": artBytes,
+		"slice": slices, "resume_seq": j.Frontier, "artifact_bytes": artBytes,
 	}
 	m.emit(sev)
 	m.mu.Unlock()
@@ -937,9 +928,8 @@ func (m *Manager) runSegment(j *job) {
 	art := filepath.Join(m.jobDir(j.ID), spec.artifactName())
 	// Resolve smart-plan / hitlist inputs before running: a missing or
 	// corrupt model file fails the segment (and the job) up front, and
-	// the loaded plan participates in the config fingerprint below.
+	// the loaded plan participates in the checkpoint's fingerprint.
 	var res *experiments.ScanResult
-	size := artBytes
 	runErr := spec.applyTargets(&cfg)
 	if runErr == nil {
 		// The segment runs as a single shard (shard 0) today; the shard
@@ -949,7 +939,14 @@ func (m *Manager) runSegment(j *job) {
 			Span: shSpan, Parent: segSpan, Phase: events.PhaseBegin,
 			Fields: map[string]any{"shard": 0, "shards": 1}}
 		m.emit(shev)
-		res, size, runErr = m.runSink(u, &cfg, art, artBytes, slices > 0, spec.Format)
+		var sink *output.FileSink
+		if sink, runErr = output.OpenFileSink(art, spec.Format, artBytes); runErr == nil {
+			cfg.Sink = sink
+			res, runErr = experiments.RunScanChecked(u, cfg)
+			if err := sink.Close(); runErr == nil {
+				runErr = err // fsync: the new pause point must be durable
+			}
+		}
 		shend := events.Event{Type: events.TypeShardEnd, Job: j.ID, Tenant: spec.Tenant,
 			Span: shSpan, Phase: events.PhaseEnd,
 			Fields: map[string]any{"shard": 0}}
@@ -967,11 +964,6 @@ func (m *Manager) runSegment(j *job) {
 	// than serving a dead segment's numbers as if they were live.
 	j.debug.Reset()
 
-	var fields []checkpoint.Field
-	if runErr == nil {
-		fields = cfg.ConfigFields(u)
-	}
-
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j.executing = false
@@ -986,24 +978,14 @@ func (m *Manager) runSegment(j *job) {
 		j.Pruned += res.Engine.Pruned
 		j.Retries += res.Engine.Retries
 		j.VirtualNS += int64(res.VirtualTime)
-		actual = int64(res.Cursor.Seq - j.Frontier)
-		j.Frontier = res.Cursor.Seq
-		j.ArtifactBytes = size
+		j.Checkpoint = res.Checkpoint
+		j.Checkpoint.VirtualNS = j.VirtualNS
+		seq := j.Checkpoint.Shards[0].Cursor.Seq
+		actual = int64(seq - j.Frontier)
+		j.Frontier = seq
+		j.ArtifactBytes = *j.Checkpoint.OutputBytes
 		total, _, _ := ts.AnomalySummary()
 		j.Anomalies += total
-		st := res.Engine
-		j.Checkpoint = &checkpoint.State{
-			Version:     checkpoint.Version,
-			Fingerprint: checkpoint.FingerprintFields(fields),
-			Config:      fields,
-			Completed:   !res.Incomplete,
-			VirtualNS:   j.VirtualNS,
-			Shards: []checkpoint.ShardState{{
-				Shard: 0, Shards: 1, Cursor: *res.Cursor,
-				Launched: st.Launched, Completed: st.Completed,
-				Skipped: st.Skipped, Pruned: st.Pruned, Retries: st.Retries,
-			}},
-		}
 	}
 	t := m.sched.tenant(spec.Tenant, 0)
 	vtBefore := t.vtime
@@ -1060,41 +1042,4 @@ func (m *Manager) runSegment(j *job) {
 		j.Error = "persist: " + err.Error()
 	}
 	m.dispatchLocked()
-}
-
-// runSink opens the artifact at the exact splice point (truncating any
-// tail past it), streams one segment through a file sink, and returns
-// the segment result plus the new durable artifact size.
-func (m *Manager) runSink(u *inet.Universe, cfg *experiments.ScanConfig, art string, artBytes int64, appending bool, format string) (*experiments.ScanResult, int64, error) {
-	f, err := os.OpenFile(art, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, artBytes, err
-	}
-	defer f.Close()
-	if err := f.Truncate(artBytes); err != nil {
-		return nil, artBytes, err
-	}
-	if _, err := f.Seek(artBytes, io.SeekStart); err != nil {
-		return nil, artBytes, err
-	}
-	sink, err := output.NewFileSink(f, format, appending)
-	if err != nil {
-		return nil, artBytes, err
-	}
-	cfg.Sink = sink
-	res, runErr := experiments.RunScanChecked(u, *cfg)
-	if err := sink.Close(); runErr == nil {
-		runErr = err
-	}
-	if err := f.Sync(); runErr == nil {
-		runErr = err
-	}
-	size, err := f.Seek(0, io.SeekCurrent)
-	if runErr == nil {
-		runErr = err
-	}
-	if runErr != nil {
-		return res, artBytes, runErr
-	}
-	return res, size, nil
 }

@@ -3,6 +3,7 @@ package output
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"iwscan/internal/analysis"
 )
@@ -21,6 +22,7 @@ type AsyncSink struct {
 	mu     sync.Mutex
 	err    error
 	closed bool
+	size   atomic.Int64 // dst's Size after the last drained Flush; -1 = unknown
 }
 
 type asyncItem struct {
@@ -35,6 +37,7 @@ func NewAsyncSink(dst Sink, queue int) *AsyncSink {
 		queue = 1
 	}
 	a := &AsyncSink{ch: make(chan asyncItem, queue), done: make(chan struct{})}
+	a.size.Store(-1)
 	go a.drain(dst)
 	return a
 }
@@ -43,7 +46,13 @@ func (a *AsyncSink) drain(dst Sink) {
 	defer close(a.done)
 	for it := range a.ch {
 		if it.flush != nil {
-			it.flush <- dst.Flush()
+			err := dst.Flush()
+			if sz, ok := dst.(Sizer); ok {
+				if n, known := sz.Size(); known {
+					a.size.Store(n)
+				}
+			}
+			it.flush <- err
 			continue
 		}
 		if a.Err() != nil {
@@ -80,6 +89,13 @@ func (a *AsyncSink) Depth() int { return len(a.ch) }
 
 // Cap returns the queue capacity.
 func (a *AsyncSink) Cap() int { return cap(a.ch) }
+
+// Size forwards the destination's Size as of the last Flush (unknown
+// before the first one, or when the destination is not a Sizer).
+func (a *AsyncSink) Size() (int64, bool) {
+	n := a.size.Load()
+	return n, n >= 0
+}
 
 // WriteRecord enqueues a copy of r, blocking while the queue is full.
 func (a *AsyncSink) WriteRecord(r *analysis.Record) error {

@@ -38,10 +38,6 @@ type BinarySink struct {
 // NewBinarySink writes the IWB1 stream (including magic) to w.
 func NewBinarySink(w io.Writer) *BinarySink { return newBinarySink(w, true) }
 
-// NewBinaryAppendSink writes frames without the leading magic, for
-// continuing an existing IWB1 file (checkpoint resume).
-func NewBinaryAppendSink(w io.Writer) *BinarySink { return newBinarySink(w, false) }
-
 func newBinarySink(w io.Writer, magic bool) *BinarySink {
 	return &BinarySink{bw: bufio.NewWriter(w), needMagic: magic}
 }

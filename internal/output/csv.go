@@ -18,10 +18,6 @@ type CSVSink struct {
 // NewCSVSink writes CSV with a header row to w.
 func NewCSVSink(w io.Writer) *CSVSink { return newCSVSink(w, true) }
 
-// NewCSVAppendSink writes CSV rows without a header, for continuing a
-// file that already has one (checkpoint resume).
-func NewCSVAppendSink(w io.Writer) *CSVSink { return newCSVSink(w, false) }
-
 func newCSVSink(w io.Writer, header bool) *CSVSink {
 	return &CSVSink{cw: csv.NewWriter(w), needsHead: header}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -97,7 +99,7 @@ func TestCSVAppendSinkContinuesFile(t *testing.T) {
 	if err := WriteAll(first, recs[:2]); err != nil {
 		t.Fatal(err)
 	}
-	second := NewCSVAppendSink(&buf)
+	second, _ := NewFileSink(&buf, "csv", true)
 	if err := WriteAll(second, recs[2:]); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestBinaryAppendSinkContinuesFile(t *testing.T) {
 	if err := WriteAll(first, recs[:3]); err != nil {
 		t.Fatal(err)
 	}
-	second := NewBinaryAppendSink(&buf)
+	second, _ := NewFileSink(&buf, "bin", true)
 	if err := WriteAll(second, recs[3:]); err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +231,60 @@ func TestNewFileSinkFormats(t *testing.T) {
 	}
 	if _, err := NewFileSink(io.Discard, "xml", false); err == nil {
 		t.Fatal("unknown format accepted")
+	}
+}
+
+// TestOpenFileSinkSplice: a spliced artifact is cut back to the splice
+// point at the first flush (not at open), continues without a preamble,
+// reports its length through an AsyncSink, and is refused when shorter
+// than the splice point.
+func TestOpenFileSinkSplice(t *testing.T) {
+	recs := sampleRecords()
+	path := filepath.Join(t.TempDir(), "scan.iwb")
+	var want bytes.Buffer
+	if err := WriteAll(NewBinarySink(&want), recs); err != nil {
+		t.Fatal(err)
+	}
+
+	first, err := OpenFileSink(path, "bin", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAll(first, recs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	at, _ := first.Size()
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	torn := append(want.Bytes()[:at:at], 0x7f, 0x01) // a frame cut short
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sink, err := OpenFileSink(path, "bin", at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, torn) {
+		t.Fatal("opening the splice modified the file before any write")
+	}
+	async := NewAsyncSink(sink, 4)
+	if err := WriteAll(async, recs[2:]); err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := async.Size(); !ok || n != int64(want.Len()) {
+		t.Fatalf("AsyncSink.Size = %d, %v; want %d, true", n, ok, want.Len())
+	}
+	if err := async.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("spliced file differs from a single uninterrupted write")
+	}
+
+	if _, err := OpenFileSink(path, "bin", int64(want.Len())+1); !errors.Is(err, ErrShortArtifact) {
+		t.Fatalf("splice past the end: err = %v, want ErrShortArtifact", err)
 	}
 }
 

@@ -61,13 +61,8 @@ type Golden struct {
 // ScanConfig returns the configuration that reproduces the golden's
 // reference scan.
 func (g *Golden) ScanConfig() (experiments.ScanConfig, error) {
-	var strat core.Strategy
-	switch g.Strategy {
-	case "http":
-		strat = core.StrategyHTTP
-	case "tls":
-		strat = core.StrategyTLS
-	default:
+	strat, err := core.ParseStrategy(g.Strategy)
+	if err != nil || strat == core.StrategySYN {
 		return experiments.ScanConfig{}, fmt.Errorf("validate: golden %q has unknown strategy %q", g.Name, g.Strategy)
 	}
 	return experiments.ScanConfig{
