@@ -234,6 +234,7 @@ func (s *Scanner) startProbe(spec probeSpec, done func(ProbeResult)) {
 		isn:       s.rng.Uint32(),
 		done:      done,
 	}
+	c.timer.Bind(s.net, func(a any) { a.(*connProbe).onTimeout() }, c)
 	s.conns[c.localPort] = c
 	c.start()
 }
@@ -264,7 +265,9 @@ type connProbe struct {
 	traceID uint64      // lifecycle trace handle
 	synAt   netsim.Time // when the SYN left, for the RTT histogram
 
-	timer *netsim.Timer
+	// timer bounds the current state's wait; onTimeout reads the state
+	// to tell which wait expired.
+	timer netsim.Timer
 	done  func(ProbeResult)
 }
 
@@ -299,14 +302,21 @@ func (c *connProbe) start() {
 	// No SACK-permitted: §3.1 disables selective acknowledgment to keep
 	// tail loss probes from skewing the estimate.
 	c.sc.send(c.target, &h, nil)
-	c.arm(c.sc.cfg.SynTimeout, func() {
-		c.finish(ProbeResult{Outcome: OutcomeUnreachable, Err: "syn-timeout"}, false)
-	})
+	c.timer.Arm(c.sc.cfg.SynTimeout)
 }
 
-func (c *connProbe) arm(d netsim.Time, fn func()) {
-	c.timer.Cancel()
-	c.timer = c.sc.net.After(d, fn)
+// onTimeout handles the expiry of the wait the current state armed.
+func (c *connProbe) onTimeout() {
+	switch c.state {
+	case stateSynSent:
+		c.finish(ProbeResult{Outcome: OutcomeUnreachable, Err: "syn-timeout"}, false)
+	case stateCollecting:
+		c.onCollectTimeout()
+	case stateVerifying:
+		// Silence: the host was out of data but keeps the connection
+		// open (typical for TLS mid-handshake).
+		c.finishFewData()
+	}
 }
 
 // trace records a lifecycle phase transition at the current virtual
@@ -407,7 +417,7 @@ func (c *connProbe) handleSegment(tcp *wire.TCPHeader, data []byte) {
 		h.Window = c.sc.cfg.Window
 		c.sc.send(c.target, &h, c.payload)
 		c.state = stateCollecting
-		c.arm(c.sc.cfg.CollectTimeout, c.onCollectTimeout)
+		c.timer.Arm(c.sc.cfg.CollectTimeout)
 	case stateCollecting:
 		c.collect(tcp, data)
 	case stateVerifying:
@@ -529,11 +539,7 @@ func (c *connProbe) onRetransmission() {
 	h.Window = uint16(win)
 	c.sc.send(c.target, &h, nil)
 	c.state = stateVerifying
-	c.arm(c.sc.cfg.VerifyTimeout, func() {
-		// Silence: the host was out of data but keeps the connection
-		// open (typical for TLS mid-handshake).
-		c.finishFewData()
-	})
+	c.timer.Arm(c.sc.cfg.VerifyTimeout)
 }
 
 // verify watches for data past the acknowledged point.

@@ -34,7 +34,7 @@ type statusReporter struct {
 	wallStart time.Time
 	lastWall  time.Time
 	lastSent  int64
-	timer     *netsim.Timer
+	timer     netsim.Timer
 	stopped   bool
 }
 
@@ -56,18 +56,16 @@ func startStatusReporter(w io.Writer, n *netsim.Network, eng *scanner.Engine, la
 		wallStart: now,
 		lastWall:  now,
 	}
-	r.timer = n.After(statusTick, r.tick)
+	r.timer.Bind(n, func(a any) { a.(*statusReporter).tick() }, r)
+	r.timer.Arm(statusTick)
 	return r
 }
 
 func (r *statusReporter) tick() {
-	if r.stopped {
-		return
-	}
 	if wall := time.Now(); wall.Sub(r.lastWall) >= r.interval {
 		r.print(wall)
 	}
-	r.timer = r.net.After(statusTick, r.tick)
+	r.timer.Arm(statusTick)
 }
 
 func (r *statusReporter) stop() {

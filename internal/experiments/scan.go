@@ -454,7 +454,7 @@ func runScan(u *inet.Universe, cfg ScanConfig, statusLabel string) (*ScanResult,
 
 	finished := false
 	var reporter *statusReporter
-	var ckTimer *netsim.Timer
+	var ckTimer netsim.Timer
 	eng.OnFinish(func(s scanner.Stats) {
 		finished = true
 		res.Engine = s
@@ -464,26 +464,19 @@ func runScan(u *inet.Universe, cfg ScanConfig, statusLabel string) (*ScanResult,
 		if sampler != nil {
 			sampler.Stop()
 		}
-		if ckTimer != nil {
-			ckTimer.Cancel()
-			ckTimer = nil
-		}
+		ckTimer.Cancel()
 	})
 	if cfg.CheckpointPath != "" {
 		interval := cfg.CheckpointInterval
 		if interval <= 0 {
 			interval = 10 * netsim.Second
 		}
-		var tick func()
-		tick = func() {
-			if finished {
-				return
-			}
+		ckTimer.Bind(n, func(any) {
 			_, err := writeCheckpoint(false)
 			keepErr(err)
-			ckTimer = n.After(interval, tick)
-		}
-		ckTimer = n.After(interval, tick)
+			ckTimer.Arm(interval)
+		}, nil)
+		ckTimer.Arm(interval)
 	}
 	if cfg.StatusInterval > 0 && cfg.StatusOut != nil {
 		reporter = startStatusReporter(cfg.StatusOut, n, eng, statusLabel, cfg.StatusInterval, cfg.Timeseries)

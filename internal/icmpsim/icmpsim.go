@@ -40,7 +40,8 @@ type probe struct {
 	target    wire.Addr
 	candidate int
 	result    Result
-	timer     *netsim.Timer
+	id        uint16 // echo ID, the key in Prober.active
+	timer     netsim.Timer
 	done      func(Result)
 }
 
@@ -62,16 +63,18 @@ func (p *Prober) Discover(target wire.Addr, start int, done func(Result)) {
 	p.nextID++
 	pr := &probe{
 		p:         p,
+		id:        p.nextID,
 		target:    target,
 		candidate: start,
 		result:    Result{Addr: target},
 		done:      done,
 	}
-	p.active[p.nextID] = pr
-	pr.send(p.nextID)
+	pr.timer.Bind(p.net, func(a any) { a.(*probe).finish(false) }, pr)
+	p.active[pr.id] = pr
+	pr.send()
 }
 
-func (pr *probe) send(id uint16) {
+func (pr *probe) send() {
 	pr.result.Probes++
 	// Echo payload pads the IP packet to exactly the candidate size.
 	payload := pr.candidate - wire.IPv4HeaderLen - wire.ICMPHeaderLen
@@ -80,7 +83,7 @@ func (pr *probe) send(id uint16) {
 	}
 	msg := wire.EncodeICMP(nil, &wire.ICMPHeader{
 		Type: wire.ICMPEchoRequest,
-		ID:   id,
+		ID:   pr.id,
 		Seq:  uint16(pr.result.Probes),
 		Body: make([]byte, payload),
 	})
@@ -93,13 +96,12 @@ func (pr *probe) send(id uint16) {
 	p := pr.p.net.GetPacket()
 	p.B = wire.EncodeIPv4(p.B, &hdr, msg)
 	pr.p.net.SendPacket(p)
-	pr.timer.Cancel()
-	pr.timer = pr.p.net.After(pr.p.timeout, func() { pr.finish(id, false) })
+	pr.timer.Arm(pr.p.timeout)
 }
 
-func (pr *probe) finish(id uint16, ok bool) {
+func (pr *probe) finish(ok bool) {
 	pr.timer.Cancel()
-	delete(pr.p.active, id)
+	delete(pr.p.active, pr.id)
 	if ok {
 		pr.result.OK = true
 		pr.result.MTU = pr.candidate
@@ -126,7 +128,7 @@ func (p *Prober) HandlePacket(pkt []byte) {
 			return
 		}
 		pr.result.Replies++
-		pr.finish(msg.ID, true)
+		pr.finish(true)
 	case wire.ICMPDestUnreach:
 		if msg.Code != wire.ICMPCodeFragNeeded {
 			return
@@ -146,11 +148,11 @@ func (p *Prober) HandlePacket(pkt []byte) {
 			next = nextPlateauBelow(pr.candidate)
 		}
 		if next < 68 {
-			pr.finish(id, false)
+			pr.finish(false)
 			return
 		}
 		pr.candidate = next
-		pr.send(id)
+		pr.send()
 	}
 }
 

@@ -244,22 +244,72 @@ func (n *Network) Unregister(addr wire.Addr) { delete(n.nodes, addr) }
 // NodeCount returns the number of currently registered nodes.
 func (n *Network) NodeCount() int { return len(n.nodes) }
 
-// Timer is a cancellable scheduled callback. Cancelling removes the
-// timer from the event heap immediately, so heavily re-armed timers
-// (idle tracking, retransmission) do not accumulate dead entries.
+// Timer is a re-armable scheduled callback, meant to be embedded by
+// value in the state it serves (a connection, a probe, a ticker). Bind
+// it once; after that ArmAt, Arm and Cancel never allocate. The heap
+// entry comes from the network's event free list, and the callback is
+// a plain function of an owner pointer, so nothing escapes per arm.
+// Cancelling removes the timer from the event heap immediately, so
+// heavily re-armed timers (idle tracking, retransmission) do not
+// accumulate dead entries. The zero Timer is disarmed: Cancel and
+// Pending work on it before Bind.
 type Timer struct {
-	fn  func()
 	net *Network
-	ev  *event // nil once fired or cancelled
+	fn  func(arg any)
+	arg any
+	ev  *event // non-nil while armed; nil once fired or cancelled
 }
 
-// Cancel prevents the timer from firing. Cancelling an already-fired or
-// already-cancelled timer is a no-op.
-func (t *Timer) Cancel() {
-	if t == nil || t.ev == nil {
+// Bind attaches the timer to network n with callback fn(arg). Pass fn
+// as a function literal that captures nothing and the owner as arg
+// (`t.Bind(n, func(a any) { a.(*Conn).onTimeout() }, c)`): neither
+// allocates, where a method value would cost one allocation per bind.
+// Bind a disarmed timer only.
+func (t *Timer) Bind(n *Network, fn func(arg any), arg any) {
+	t.net, t.fn, t.arg = n, fn, arg
+}
+
+// ArmAt schedules the timer to fire at absolute virtual time at
+// (clamped to now), replacing any pending expiry. Re-arming takes a
+// fresh insertion sequence number, exactly as cancelling and arming
+// anew would, so the (time, seq) firing order is unchanged; a timer
+// still in the heap is moved in place instead of being removed and
+// pushed again.
+func (t *Timer) ArmAt(at Time) {
+	n := t.net
+	if at < n.now {
+		at = n.now
+	}
+	if ev := t.ev; ev != nil && ev.idx >= 0 {
+		ev.at = at
+		ev.seq = n.seq
+		n.seq++
+		heap.Fix(&n.queue, ev.idx)
 		return
 	}
+	t.Cancel() // detach an entry already popped into the drain batch
+	ev := n.newEvent()
+	ev.at = at
+	ev.timer = t
+	t.ev = ev
+	n.push(ev)
+}
+
+// Arm schedules the timer to fire d after the current virtual time,
+// replacing any pending expiry.
+func (t *Timer) Arm(d Time) { t.ArmAt(t.net.now + d) }
+
+// Pending reports whether the timer is armed and has not yet fired. It
+// is false inside the timer's own callback.
+func (t *Timer) Pending() bool { return t.ev != nil }
+
+// Cancel prevents the timer from firing. Cancelling a disarmed timer is
+// a no-op.
+func (t *Timer) Cancel() {
 	ev := t.ev
+	if ev == nil {
+		return
+	}
 	t.ev = nil
 	ev.timer = nil
 	if ev.idx >= 0 {
@@ -271,23 +321,22 @@ func (t *Timer) Cancel() {
 }
 
 // At schedules fn to run at absolute virtual time t (clamped to now).
+// It allocates the Timer and is meant for one-off callbacks; state that
+// re-arms a timer embeds one and binds it once instead.
 func (n *Network) At(t Time, fn func()) *Timer {
-	if t < n.now {
-		t = n.now
-	}
-	timer := &Timer{fn: fn, net: n}
-	ev := n.newEvent()
-	ev.at = t
-	ev.timer = timer
-	timer.ev = ev
-	n.push(ev)
+	timer := &Timer{}
+	timer.Bind(n, callFunc, fn)
+	timer.ArmAt(t)
 	return timer
 }
 
-// After schedules fn to run d after the current time.
+// After schedules fn to run d after the current time (see At).
 func (n *Network) After(d Time, fn func()) *Timer {
 	return n.At(n.now+d, fn)
 }
+
+// callFunc is the bound callback of At's timers: arg is the func().
+func callFunc(arg any) { arg.(func())() }
 
 // Send injects an IPv4 packet into the network. Path impairments are
 // applied based on the packet's source and destination addresses. The
@@ -499,9 +548,9 @@ func (n *Network) RunUntilIdle() int {
 }
 
 func (n *Network) dispatch(ev *event) {
-	if ev.timer != nil {
-		ev.timer.ev = nil
-		ev.timer.fn()
+	if t := ev.timer; t != nil {
+		t.ev = nil
+		t.fn(t.arg)
 		return
 	}
 	if ev.pkt == nil {

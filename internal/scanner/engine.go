@@ -126,7 +126,7 @@ type Engine struct {
 
 	outstanding int
 	exhausted   bool
-	tickArmed   bool
+	tick        netsim.Timer // the pump's next rate-limited wake-up
 	nextSend    netsim.Time
 	stats       Stats
 	onDone      func(Stats)
@@ -177,6 +177,7 @@ func NewEngine(n *netsim.Network, space *TargetSpace, cfg Config, launch LaunchF
 	if e.interval <= 0 {
 		e.interval = 1
 	}
+	e.tick.Bind(n, func(a any) { a.(*Engine).pump() }, e)
 	if cfg.Resume != nil {
 		e.iter.SetState(cfg.Resume.Shard)
 		e.nextSeq = cfg.Resume.Seq
@@ -273,14 +274,10 @@ func (e *Engine) pump() {
 	for e.nextSend <= e.net.Now() && e.launchOne() {
 	}
 	e.maybeFinish()
-	if e.tickArmed || !e.moreToLaunch() {
+	if e.tick.Pending() || !e.moreToLaunch() {
 		return
 	}
-	e.tickArmed = true
-	e.net.At(e.nextSend, func() {
-		e.tickArmed = false
-		e.pump()
-	})
+	e.tick.ArmAt(e.nextSend)
 }
 
 // moreToLaunch reports whether pump has anything left to do right now:

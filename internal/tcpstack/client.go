@@ -126,8 +126,8 @@ type ClientConn struct {
 	bytesRcvd   int64
 	segsRcvd    int64
 	unackedSegs int
-	ackTimer    *netsim.Timer
-	synTimer    *netsim.Timer
+	ackTimer    netsim.Timer // the delayed ACK
+	synTimer    netsim.Timer // SYN retransmission
 	synTries    int
 	closed      bool
 	finSent     bool
@@ -146,6 +146,8 @@ func (c *Client) Connect(peer wire.Addr, port uint16, request []byte, events Cli
 		pendingData: append([]byte(nil), request...),
 	}
 	conn.sndNxt = conn.isn + 1
+	conn.ackTimer.Bind(c.net, func(a any) { a.(*ClientConn).sendAck() }, conn)
+	conn.synTimer.Bind(c.net, func(a any) { a.(*ClientConn).onSynTimeout() }, conn)
 	c.conns[conn.localPort] = conn
 	conn.sendSYN()
 	return conn
@@ -180,18 +182,16 @@ func (cc *ClientConn) sendSYN() {
 	h.Window = cc.client.cfg.Window
 	h.MSS = cc.client.cfg.MSS
 	cc.client.send(cc.peer, &h, nil)
-	cc.synTimer.Cancel()
-	cc.synTimer = cc.client.net.After(cc.client.cfg.SynTimeout, func() {
-		if cc.established || cc.closed {
-			return
-		}
-		cc.synTries++
-		if cc.synTries > cc.client.cfg.SynRetries {
-			cc.teardown(false)
-			return
-		}
-		cc.sendSYN()
-	})
+	cc.synTimer.Arm(cc.client.cfg.SynTimeout)
+}
+
+func (cc *ClientConn) onSynTimeout() {
+	cc.synTries++
+	if cc.synTries > cc.client.cfg.SynRetries {
+		cc.teardown(false)
+		return
+	}
+	cc.sendSYN()
 }
 
 func (cc *ClientConn) handleSegment(tcp *wire.TCPHeader, data []byte) {
@@ -262,20 +262,14 @@ func (cc *ClientConn) scheduleAck(forceNow bool) {
 		cc.sendAck()
 		return
 	}
-	if cc.ackTimer == nil {
-		cc.ackTimer = cc.client.net.After(cc.client.cfg.DelayedACKTimer, func() {
-			cc.ackTimer = nil
-			if !cc.closed && cc.unackedSegs > 0 {
-				cc.sendAck()
-			}
-		})
+	if !cc.ackTimer.Pending() {
+		cc.ackTimer.Arm(cc.client.cfg.DelayedACKTimer)
 	}
 }
 
 func (cc *ClientConn) sendAck() {
 	cc.unackedSegs = 0
 	cc.ackTimer.Cancel()
-	cc.ackTimer = nil
 	cc.sendSegment(nil, wire.FlagACK)
 }
 

@@ -288,10 +288,13 @@ func (h *Host) accept(key connKey, l listener, syn *wire.TCPHeader) {
 	c.sndNxt = c.iss + 1 // SYN consumes one sequence number
 	c.rcvNxt = syn.Seq + 1
 	c.rto = h.cfg.RTO
+	c.retx.Bind(h.net, func(a any) { a.(*Conn).onRetxTimeout() }, c)
+	c.idle.Bind(h.net, func(a any) { a.(*Conn).onIdle() }, c)
+	c.flush.Bind(h.net, func(a any) { a.(*Conn).trySend() }, c)
 	h.conns[key] = c
 	h.stats.Accepted++
 	c.sendSynAck()
-	c.armRetxTimer()
+	c.retx.Arm(c.rto)
 	c.touchIdle()
 }
 
@@ -413,13 +416,13 @@ type Conn struct {
 	inflightBytes int
 
 	pendingClose bool // app closed; send FIN once the queue drains
-	flushPending bool // a zero-delay flush event is scheduled
 	finSent      bool
 	finAcked     bool
 
 	rto          netsim.Time
-	retxTimer    *netsim.Timer
-	idleTimer    *netsim.Timer
+	retx         netsim.Timer
+	idle         netsim.Timer
+	flush        netsim.Timer // the zero-delay flush scheduled by Write/Close
 	idleDeadline netsim.Time
 	retries      int
 }
@@ -474,14 +477,9 @@ func (c *Conn) Close() {
 }
 
 func (c *Conn) scheduleFlush() {
-	if c.flushPending {
-		return
+	if !c.flush.Pending() {
+		c.flush.Arm(0)
 	}
-	c.flushPending = true
-	c.host.net.After(0, func() {
-		c.flushPending = false
-		c.trySend()
-	})
 }
 
 // Abort sends a RST and tears the connection down immediately.
@@ -506,8 +504,8 @@ func (c *Conn) destroy(completed bool) {
 		return
 	}
 	c.state = stateClosed
-	c.retxTimer.Cancel()
-	c.idleTimer.Cancel()
+	c.retx.Cancel()
+	c.idle.Cancel()
 	if completed {
 		c.host.stats.ConnsCompleted++
 	} else {
@@ -521,22 +519,17 @@ func (c *Conn) destroy(completed bool) {
 // being re-pushed on every segment, which keeps the event heap small.
 func (c *Conn) touchIdle() {
 	c.idleDeadline = c.host.net.Now() + c.host.cfg.IdleTime
-	if c.idleTimer == nil {
-		c.armIdleTimer()
+	if !c.idle.Pending() {
+		c.idle.ArmAt(c.idleDeadline)
 	}
 }
 
-func (c *Conn) armIdleTimer() {
-	c.idleTimer = c.host.net.At(c.idleDeadline, func() {
-		if c.state == stateClosed {
-			return
-		}
-		if c.host.net.Now() < c.idleDeadline {
-			c.armIdleTimer()
-			return
-		}
-		c.destroy(false)
-	})
+func (c *Conn) onIdle() {
+	if c.host.net.Now() < c.idleDeadline {
+		c.idle.ArmAt(c.idleDeadline)
+		return
+	}
+	c.destroy(false)
 }
 
 func (c *Conn) sendSynAck() {
@@ -608,7 +601,7 @@ func (c *Conn) establish(tcp *wire.TCPHeader) {
 	}
 	c.cwnd = iw.IW(c.effMSS)
 	c.note("tcp.established", int64(c.effMSS), int64(c.cwnd))
-	c.retxTimer.Cancel()
+	c.retx.Cancel()
 	c.retries = 0
 	c.rto = c.host.cfg.RTO
 	c.session = c.app.NewSession(c)
@@ -653,9 +646,9 @@ func (c *Conn) processAck(tcp *wire.TCPHeader) {
 		c.retries = 0
 		c.rto = c.host.cfg.RTO
 		if c.sndUna == c.sndNxt {
-			c.retxTimer.Cancel()
+			c.retx.Cancel()
 		} else {
-			c.armRetxTimer()
+			c.retx.Arm(c.rto)
 		}
 		if c.state == stateLastAck && c.finAcked {
 			c.destroy(true)
@@ -809,7 +802,7 @@ func (c *Conn) trySend() {
 		}
 	}
 	if sentAny && c.sndUna != c.sndNxt {
-		c.armRetxTimer()
+		c.retx.Arm(c.rto)
 	}
 }
 
@@ -839,11 +832,6 @@ func (c *Conn) sendData(seq uint32, payload []byte, fin, push bool) {
 	h.Window = c.host.cfg.Window
 	c.host.stats.SegmentsSent++
 	c.host.sendTCP(c.key.peer, &h, payload)
-}
-
-func (c *Conn) armRetxTimer() {
-	c.retxTimer.Cancel()
-	c.retxTimer = c.host.net.After(c.rto, c.onRetxTimeout)
 }
 
 // onRetxTimeout retransmits the first unacknowledged segment (or the
@@ -883,7 +871,7 @@ func (c *Conn) onRetxTimeout() {
 		// Nothing outstanding; stop the timer chain.
 		return
 	}
-	c.armRetxTimer()
+	c.retx.Arm(c.rto)
 }
 
 // DebugString renders connection state for tracing.

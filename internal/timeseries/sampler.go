@@ -37,7 +37,7 @@ type Sampler struct {
 	prevPauseNS  uint64
 
 	probes  []Probe
-	timer   *netsim.Timer
+	timer   netsim.Timer
 	stopped bool
 	mem     runtime.MemStats
 }
@@ -60,7 +60,8 @@ func Attach(n *netsim.Network, store *Store, shard int) *Sampler {
 	runtime.ReadMemStats(&s.mem)
 	s.prevGC = s.mem.NumGC
 	s.prevPauseNS = s.mem.PauseTotalNs
-	s.timer = n.After(s.interval, s.tick)
+	s.timer.Bind(n, func(a any) { a.(*Sampler).tick() }, s)
+	s.timer.Arm(s.interval)
 	return s
 }
 
@@ -68,11 +69,8 @@ func Attach(n *netsim.Network, store *Store, shard int) *Sampler {
 func (s *Sampler) AddProbe(p Probe) { s.probes = append(s.probes, p) }
 
 func (s *Sampler) tick() {
-	if s.stopped {
-		return
-	}
 	s.sample(false)
-	s.timer = s.n.After(s.interval, s.tick)
+	s.timer.Arm(s.interval)
 }
 
 // Stop cancels the recurring timer and emits the closing partial
