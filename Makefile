@@ -15,7 +15,7 @@ VALIDATE_OUT ?= artifacts
 # Per-target budget for fuzz-smoke.
 FUZZ_TIME ?= 3s
 # Packages with native fuzz targets (Fuzz* functions).
-FUZZ_PKGS := ./internal/wire ./internal/output ./internal/httpsim ./internal/tlssim ./internal/prefixtree
+FUZZ_PKGS := ./internal/wire ./internal/output ./internal/httpsim ./internal/tlssim ./internal/prefixtree ./internal/flight
 
 # Coverage floor for the non-blocking report `make cover` prints; the
 # build does not fail below it, the number is for trend-watching.
@@ -103,7 +103,7 @@ bench-smoke:
 	bash bench/run.sh -quick --trace 1
 
 # fuzz-smoke runs every native fuzz target briefly ($(FUZZ_TIME) each):
-# the wire decoders, the IWB1 binary reader, and the HTTP/TLS parsers.
+# the wire decoders, the IWB1 and pcap readers, and the HTTP/TLS parsers.
 # `go test -fuzz` takes one target at a time, hence the loop.
 fuzz-smoke:
 	@set -e; for pkg in $(FUZZ_PKGS); do \

@@ -34,6 +34,14 @@
 //	iwscan -sample 0.01 -tail-loss 0.3 -flight-dir fr -flight-on underestimate
 //	iwscan -sample 0.01 -flight-dir fr -trace-host 10.4.7.23   # always record this host
 //	iwscan -sample 0.1 -debug-addr localhost:6060              # live pprof//metrics//flight
+//	iwscan -sample 0.01 -pcap scan.pcap -out /dev/null         # every packet; read with cmd/iwdump
+//
+// -pcap streams every packet the simulated network accepts, in send
+// order, through the flight recorder's packet tap into one libpcap
+// file, so a capture costs a write buffer however long the scan runs.
+// A frozen record's .pcap sidecar holds that probe's slice of the same
+// stream. Like the rest of the flight recorder, -pcap observes one
+// simulation, so it applies to serial address-space scans only.
 //
 // Topology-aware smart scanning (prefix responsiveness model, hitlists):
 //
@@ -79,7 +87,6 @@ import (
 	"iwscan/internal/prefixtree"
 	"iwscan/internal/scanner"
 	"iwscan/internal/timeseries"
-	"iwscan/internal/trace"
 	"iwscan/internal/validate"
 	"iwscan/internal/wire"
 )
@@ -199,8 +206,8 @@ func main() {
 	if *smartExplore >= 1 {
 		fatalf("-smart-explore %v out of range: want e < 1", *smartExplore)
 	}
-	if *alexa > 0 && (flightEnabled || *debugAddr != "" || *telemOut != "") {
-		fatalf("the flight recorder, -debug-addr and -telemetry-out apply to address-space scans, not -alexa list scans")
+	if *alexa > 0 && (flightEnabled || *pcap != "" || *debugAddr != "" || *telemOut != "") {
+		fatalf("the flight recorder, -pcap, -debug-addr and -telemetry-out apply to address-space scans, not -alexa list scans")
 	}
 	if *flightSample < 0 || *flightSample > 1 {
 		fatalf("-flight-sample %v out of range: want 0 <= f <= 1", *flightSample)
@@ -209,18 +216,21 @@ func main() {
 		fatalf("flight recording needs somewhere to surface records: set -flight-dir (write files) or -debug-addr (serve /flight)")
 	}
 
-	// Build the flight recorder up front so configuration errors (an
-	// unwritable directory, an unknown verdict name) kill the run before
-	// any scanning happens, not mid-scan.
+	// Build the flight recorder and open -pcap up front so configuration
+	// errors (an unwritable directory or capture path, an unknown verdict
+	// name) kill the run before any scanning happens, not after it. The
+	// recorder is also the -pcap tap: it streams every packet the network
+	// accepts into the capture, so -pcap alone builds one with no freeze
+	// rule, which records nothing else.
 	var fr *flight.Recorder
 	var dbg *flight.DebugServer
+	fcfg := flight.Config{
+		Dir:        *flightDir,
+		SampleRate: *flightSample,
+		Seed:       *seed,
+		MaxWrites:  *flightMax,
+	}
 	if flightEnabled {
-		fcfg := flight.Config{
-			Dir:        *flightDir,
-			SampleRate: *flightSample,
-			Seed:       *seed,
-			MaxWrites:  *flightMax,
-		}
 		if *flightDir != "" {
 			if err := os.MkdirAll(*flightDir, 0o755); err != nil {
 				fatalf("-flight-dir: %v", err)
@@ -262,6 +272,15 @@ func main() {
 				fcfg.TraceHosts[addr] = true
 			}
 		}
+	}
+	var pcapFile *os.File
+	if *pcap != "" {
+		if pcapFile, err = os.Create(*pcap); err != nil {
+			fatalf("-pcap: %v", err)
+		}
+		fcfg.Pcap = flight.NewPcapWriter(pcapFile)
+	}
+	if flightEnabled || fcfg.Pcap != nil {
 		fr = flight.NewRecorder(fcfg)
 	}
 	if *debugAddr != "" {
@@ -275,10 +294,6 @@ func main() {
 	}
 
 	u := inet.NewInternet2017(*useed)
-	var rec *trace.Recorder
-	if *pcap != "" {
-		rec = trace.NewRecorder()
-	}
 
 	var resumeSt *checkpoint.State
 	if *resume != "" {
@@ -353,7 +368,7 @@ func main() {
 			Resume:             resumeSt,
 			CheckpointInterval: netsim.Time(*ckEvery),
 			TimeLimit:          netsim.Time(*tlimit),
-			PcapRecorder:       rec,
+			Flight:             fr,
 			Debug:              dbg,
 			Timeseries:         ts,
 		}
@@ -441,8 +456,7 @@ func main() {
 				return netsim.TailLossFilter(tlSeed, tlP)
 			})
 		}
-		if fr != nil {
-			cfg.Flight = fr
+		if fcfg.Freezes() {
 			// Join each record against the ground-truth oracle so the
 			// trigger verdicts are the validate taxonomy, not just the
 			// scan's own outcome taxa.
@@ -532,27 +546,19 @@ func main() {
 		}
 	}
 
-	if rec != nil {
-		f, err := os.Create(*pcap)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := rec.WritePcap(f); err != nil {
+	if pcapFile != nil {
+		if err := fcfg.Pcap.Flush(); err != nil {
 			fatalf("writing pcap: %v", err)
 		}
-		if err := f.Close(); err != nil {
+		if err := pcapFile.Close(); err != nil {
 			fatalf("closing %s: %v", *pcap, err)
 		}
 		if !*quiet {
-			dropped := ""
-			if rec.Dropped() > 0 {
-				dropped = fmt.Sprintf(" (%d more dropped at the capture limit)", rec.Dropped())
-			}
-			fmt.Fprintf(os.Stderr, "wrote %d packets to %s%s\n", len(rec.Packets()), *pcap, dropped)
+			fmt.Fprintf(os.Stderr, "wrote %d packets to %s\n", fcfg.Pcap.Packets(), *pcap)
 		}
 	}
 
-	if fr != nil {
+	if flightEnabled {
 		if err := fr.WriteErr(); err != nil {
 			fatalf("writing flight records: %v", err)
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"iwscan/internal/checkpoint"
 	"iwscan/internal/events"
 	"iwscan/internal/flight"
+	"iwscan/internal/netsim"
 	"iwscan/internal/output"
 	"iwscan/internal/prefixtree"
 	"iwscan/internal/timeseries"
@@ -61,6 +63,8 @@ func TestCLIRejectsFlagConflicts(t *testing.T) {
 		{[]string{"-smart-model", "m.iwsm", "-smart-threshold", "1"}, "-smart-threshold 1 out of range"},
 		{[]string{"-smart-model", "m.iwsm", "-smart-explore", "1"}, "-smart-explore 1 out of range"},
 		{[]string{"-alexa", "10", "-telemetry-out", "t.jsonl"}, "-telemetry-out apply to address-space scans"},
+		{[]string{"-alexa", "10", "-pcap", "x.pcap"}, "the flight recorder, -pcap,"},
+		{[]string{"-sample", "0.001", "-pcap", filepath.Join("missing", "x.pcap")}, "-pcap: open missing/x.pcap"},
 		{[]string{"-flight-sample", "2", "-flight-dir", "fr"}, "-flight-sample 2 out of range"},
 		{[]string{"-flight-on", "ghost"}, "flight recording needs somewhere to surface records"},
 		{[]string{"-flight-on", "bogus", "-flight-dir", "fr"}, `-flight-on: unknown verdict "bogus"`},
@@ -172,6 +176,80 @@ func TestCLIFlightDir(t *testing.T) {
 		}
 		if !bytes.Equal(sidecar, buf.Bytes()) {
 			t.Errorf("%s: .trace.json sidecar differs from a fresh export", filepath.Base(p))
+		}
+	}
+}
+
+// TestCLIPcap is the packet-capture gate: -pcap streams every packet
+// the network sent, arming the flight recorder changes no byte of the
+// capture, and each frozen record's .pcap sidecar is its probe's slice
+// of the same stream: the same packets, in order, with equal times.
+func TestCLIPcap(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	plain, armed := filepath.Join(dir, "plain.pcap"), filepath.Join(dir, "armed.pcap")
+	met, fr := filepath.Join(dir, "m.json"), filepath.Join(dir, "fr")
+	scan := []string{"-sample", "0.004", "-seed", "3", "-out", os.DevNull, "-q"}
+	iwscan(t, append(scan, "-pcap", plain, "-metrics-out", met)...)
+	iwscan(t, append(scan, "-pcap", armed, "-flight-dir", fr, "-flight-on", "all", "-flight-max", "0")...)
+
+	capture, err := os.ReadFile(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(armed); err != nil || !bytes.Equal(b, capture) {
+		t.Fatalf("capture with the flight recorder armed differs (err %v)", err)
+	}
+	pkts, err := flight.ReadPcap(bytes.NewReader(capture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err := os.ReadFile(met)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.Unmarshal(mb, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if sent := snap.Counters["netsim.packets_sent"]; int64(len(pkts)) != sent || sent == 0 {
+		t.Fatalf("capture holds %d packets, netsim.packets_sent = %d", len(pkts), sent)
+	}
+
+	// Positions of each timestamp in the capture, for the in-order
+	// subsequence match below.
+	at := make(map[netsim.Time][]int)
+	for i, p := range pkts {
+		at[p.At] = append(at[p.At], i)
+	}
+	paths, err := filepath.Glob(filepath.Join(fr, "*.flight.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("armed scan froze no records (err %v)", err)
+	}
+	for _, path := range paths {
+		rec, err := flight.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Packets) == 0 {
+			t.Fatalf("%s: no sidecar packets", filepath.Base(path))
+		}
+		prev := -1
+		for k, p := range rec.Packets {
+			next := -1
+			for _, i := range at[p.At] {
+				if i > prev && bytes.Equal(pkts[i].Data, p.Data) {
+					next = i
+					break
+				}
+			}
+			if next < 0 {
+				t.Fatalf("%s: sidecar packet %d (at %v) is not in the scan capture after packet %d",
+					filepath.Base(path), k, p.At, prev)
+			}
+			prev = next
 		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -98,6 +99,14 @@ func TestFlightConfigInCheckpointFingerprint(t *testing.T) {
 	other.Flight = flight.NewRecorder(flight.Config{Triggers: map[string]bool{"missed": true}})
 	if fp(other) == fp(armed) {
 		t.Fatal("different trigger sets share a checkpoint fingerprint")
+	}
+
+	// A packet tap alone freezes nothing: adding or dropping -pcap must
+	// not invalidate a checkpoint.
+	tap := base
+	tap.Flight = flight.NewRecorder(flight.Config{Pcap: flight.NewPcapWriter(io.Discard)})
+	if fp(tap) != plain {
+		t.Fatal("a recorder with only a pcap tap changes the checkpoint fingerprint")
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"iwscan/internal/output"
 	"iwscan/internal/scanner"
 	"iwscan/internal/timeseries"
-	"iwscan/internal/trace"
 	"iwscan/internal/wire"
 )
 
@@ -48,17 +47,14 @@ type ScanConfig struct {
 	// Ablation knobs (§3.2 fallbacks).
 	NoRedirectFollow bool
 	NoBloat          bool
-	// PcapRecorder, when set, captures packets through a network
-	// filter and has its drop counter bound into the run's metrics
-	// registry (the registry is created inside the run, so the caller
-	// cannot bind it beforehand).
-	PcapRecorder *trace.Recorder
 	// Flight, when set, attaches a per-probe flight recorder: it
 	// becomes the network's observer and the scanner's estimator sink,
 	// and every probe begins/ends a journal keyed by target address.
 	// Observation never draws from the simulation RNG, so golden
 	// outputs stay byte-identical with the recorder enabled. Its
-	// trigger configuration is part of the checkpoint fingerprint.
+	// trigger configuration is part of the checkpoint fingerprint. A
+	// recorder whose flight.Config sets Pcap also writes the scan's
+	// packet capture.
 	Flight *flight.Recorder
 	// FlightClassify maps a completed record to the verdict name the
 	// flight recorder's triggers match against (plus a free-form
@@ -296,10 +292,6 @@ func runScan(u *inet.Universe, cfg ScanConfig, statusLabel string) (*ScanResult,
 		n.SetPath(netsim.PathParams{Delay: 10 * netsim.Millisecond, Jitter: 2 * netsim.Millisecond, Loss: cfg.Loss})
 	}
 	n.SetFactory(u)
-	if cfg.PcapRecorder != nil {
-		cfg.PcapRecorder.BindMetrics(n.Metrics())
-		n.AddFilter(cfg.PcapRecorder.Filter())
-	}
 	for _, mk := range cfg.FilterFactories {
 		n.AddFilter(mk())
 	}

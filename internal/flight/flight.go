@@ -15,6 +15,10 @@
 // trace-host filter) freezes the timeline into a Record and emits it as
 // Chrome trace-event JSON (loadable in Perfetto), a tcpdump-style text
 // narrative, and a pcap of the raw packets.
+//
+// The recorder is also the scan's packet tap: with Config.Pcap set it
+// streams every datagram the network accepts into one pcap file (see
+// pcap.go for the codec), whether or not any probe is being recorded.
 package flight
 
 import (
@@ -25,7 +29,6 @@ import (
 
 	"iwscan/internal/metrics"
 	"iwscan/internal/netsim"
-	"iwscan/internal/trace"
 	"iwscan/internal/wire"
 )
 
@@ -98,7 +101,7 @@ type slab struct {
 	// would overflow are counted in pktSkipped instead), so the interior
 	// slices stay valid for the slab's lifetime.
 	pktBuf     []byte
-	pkts       []trace.Captured
+	pkts       []Captured
 	pktSkipped int
 }
 
@@ -137,7 +140,7 @@ func (s *slab) addPacket(at netsim.Time, data []byte) {
 	}
 	off := len(s.pktBuf)
 	s.pktBuf = append(s.pktBuf, data...)
-	s.pkts = append(s.pkts, trace.Captured{At: at, Data: s.pktBuf[off:len(s.pktBuf):len(s.pktBuf)]})
+	s.pkts = append(s.pkts, Captured{At: at, Data: s.pktBuf[off:len(s.pktBuf):len(s.pktBuf)]})
 }
 
 // ordered returns the ring contents oldest-first. The returned slice
@@ -166,7 +169,7 @@ func getSlab(eventCap, pktBytes, pktCap int) *slab {
 		s.pktBuf = make([]byte, 0, pktBytes)
 	}
 	if cap(s.pkts) != pktCap {
-		s.pkts = make([]trace.Captured, 0, pktCap)
+		s.pkts = make([]Captured, 0, pktCap)
 	}
 	return s
 }
@@ -217,6 +220,18 @@ type Config struct {
 	// many records are written to Dir (0 = unlimited).
 	MaxRecords int
 	MaxWrites  int
+
+	// Pcap, when set, receives every datagram the network accepts
+	// (netsim.OpSend), in send order: the whole scan's packet capture.
+	// The caller flushes it after the scan.
+	Pcap *PcapWriter
+}
+
+// Freezes reports whether c has a freeze rule (Triggers, TraceHosts or
+// SampleRate). Without one the recorder opens no slabs and costs only
+// the Pcap tap.
+func (c *Config) Freezes() bool {
+	return len(c.Triggers) > 0 || len(c.TraceHosts) > 0 || c.SampleRate > 0
 }
 
 // recorderMetrics caches registry handles; all fields may be nil when
@@ -299,9 +314,10 @@ func (r *Recorder) BindMetrics(reg *metrics.Registry) {
 // affect what the recorder captures, for inclusion in checkpoint
 // fingerprints: resuming a scan under different forensic settings
 // would silently change which records exist, so it must invalidate the
-// checkpoint.
+// checkpoint. A recorder with no freeze rule records nothing but the
+// Pcap tap, so it is "off" like no recorder at all.
 func (r *Recorder) FingerprintKey() string {
-	if r == nil {
+	if r == nil || !r.cfg.Freezes() {
 		return "off"
 	}
 	trig := make([]string, 0, len(r.cfg.Triggers))
@@ -326,8 +342,13 @@ func sortStrings(s []string) {
 	}
 }
 
-// Begin opens (or reopens, on a retry relaunch) the journal for target.
+// Begin opens (or reopens, on a retry relaunch) the journal for
+// target. Without a freeze rule no journal could ever freeze, so none
+// is opened.
 func (r *Recorder) Begin(at netsim.Time, target wire.Addr) {
+	if !r.cfg.Freezes() {
+		return
+	}
 	if s := r.active[target]; s != nil {
 		// Retried launch of the same target: restart the timeline.
 		s.reset(target, at)
@@ -481,10 +502,14 @@ func (r *Recorder) ActiveSlabs() int { return len(r.active) }
 
 // --- netsim.Observer ---
 
-// PacketEvent routes a packet lifecycle op to the slab of whichever
-// endpoint is an actively recorded target. Runs on the simulation hot
-// path: one map lookup plus an in-place decode, no allocation.
+// PacketEvent writes every sent datagram to the Pcap tap, then routes
+// the op to the slab of whichever endpoint is an actively recorded
+// target. Runs on the simulation hot path: one map lookup plus an
+// in-place decode, no allocation.
 func (r *Recorder) PacketEvent(op netsim.PacketOp, at netsim.Time, pkt []byte) {
+	if op == netsim.OpSend && r.cfg.Pcap != nil {
+		r.cfg.Pcap.Write(at, pkt)
+	}
 	if len(r.active) == 0 {
 		return
 	}

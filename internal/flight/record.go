@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"iwscan/internal/netsim"
-	"iwscan/internal/trace"
 	"iwscan/internal/wire"
 )
 
@@ -52,7 +51,7 @@ type Record struct {
 
 	// Packets holds the raw captured datagrams; they are serialized to
 	// the sidecar pcap, not the JSON record.
-	Packets []trace.Captured `json:"-"`
+	Packets []Captured `json:"-"`
 }
 
 // buildRecord snapshots a slab into a self-contained Record (all slab
@@ -73,9 +72,9 @@ func (r *Recorder) buildRecord(s *slab, ended netsim.Time, verdict, detail, trig
 	for i := range evs {
 		rec.Events[i] = renderEvent(&evs[i])
 	}
-	rec.Packets = make([]trace.Captured, len(s.pkts))
+	rec.Packets = make([]Captured, len(s.pkts))
 	for i, p := range s.pkts {
-		rec.Packets[i] = trace.Captured{At: p.At, Data: append([]byte(nil), p.Data...)}
+		rec.Packets[i] = Captured{At: p.At, Data: append([]byte(nil), p.Data...)}
 	}
 	return rec
 }
@@ -172,11 +171,11 @@ func (r *Record) Save(base string) error {
 	}
 	if len(r.Packets) > 0 {
 		buf.Reset()
-		rec := trace.NewRecorder()
+		pw := NewPcapWriter(&buf)
 		for _, p := range r.Packets {
-			rec.Add(p.At, p.Data)
+			pw.Write(p.At, p.Data)
 		}
-		if err := rec.WritePcap(&buf); err != nil {
+		if err := pw.Flush(); err != nil {
 			return err
 		}
 		if err := writeFile(base+".pcap", buf.Bytes()); err != nil {
@@ -200,7 +199,7 @@ func Load(path string) (*Record, error) {
 	}
 	pcapPath := strings.TrimSuffix(path, ".flight.json") + ".pcap"
 	if f, err := os.Open(pcapPath); err == nil {
-		pkts, perr := trace.ReadPcap(f)
+		pkts, perr := ReadPcap(f)
 		f.Close()
 		if perr == nil {
 			rec.Packets = pkts
