@@ -73,6 +73,11 @@ import (
 	"iwscan/internal/netsim"
 )
 
+// readHeaderTimeout bounds how long a client may take to send a
+// request's headers, so a slow or stalled connection cannot hold a
+// server goroutine open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr        = flag.String("addr", "localhost:8070", "HTTP listen address")
@@ -122,7 +127,7 @@ func main() {
 	}
 	js := jobs.NewServer(m)
 	js.Heartbeat = *heartbeat
-	srv := &http.Server{Handler: js.Handler()}
+	srv := &http.Server{Handler: js.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	fmt.Printf("iwserve: listening on http://%s (state %s, budget %.0f pps, %d slots, journal %s)\n",
 		ln.Addr(), *state, *budget, *concurrency, journalDir)
 

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"iwscan/internal/httpsim"
 	"iwscan/internal/netsim"
+	"iwscan/internal/wire"
 )
 
 // TestProbeLifecycleMetrics: a successful HTTP probe must populate the
@@ -83,38 +85,74 @@ func TestProbeLifecycleOutcomeTaxa(t *testing.T) {
 	}
 }
 
-// TestProbeTraceRetention: with SetKeep enabled the tracer retains full
-// per-probe event sequences in order.
-func TestProbeTraceRetention(t *testing.T) {
+// phaseRecorder is a FlightSink that keeps only the phase events.
+type phaseRecorder struct {
+	phases []string
+	at     []netsim.Time
+}
+
+func (r *phaseRecorder) ProbePhase(at netsim.Time, _ wire.Addr, phase string) {
+	r.phases = append(r.phases, phase)
+	r.at = append(r.at, at)
+}
+func (*phaseRecorder) ProbeSegment(netsim.Time, wire.Addr, int, int, string)  {}
+func (*phaseRecorder) ProbeStep(netsim.Time, wire.Addr, string, int64, int64) {}
+
+// TestProbePhaseOrder: a successful HTTP probe reports the Figure-1
+// phases to the flight sink in order, at non-decreasing virtual times,
+// and ends with its outcome taxon.
+func TestProbePhaseOrder(t *testing.T) {
 	e := newEnv(t, linuxIW(4))
-	e.scan.Tracer().SetKeep(16)
+	rec := &phaseRecorder{}
+	e.scan.SetFlight(rec)
 	e.host.Listen(80, httpsim.NewServer(httpsim.ServerConfig{Root: httpsim.BehaviorPage, PageLen: 8000}))
 	tr := e.probe(t, TargetConfig{Strategy: StrategyHTTP, MSSList: []int{64}, Repeats: 1})
 	if tr.Outcome != OutcomeSuccess {
 		t.Fatalf("outcome = %s", tr.Outcome)
 	}
-	traces := e.scan.Tracer().Completed()
-	if len(traces) == 0 {
-		t.Fatal("no traces retained")
+	want := []string{"syn_sent", "syn_ack", "retransmit_seen", "burst_collected", "verify_release", "done:success"}
+	if len(rec.phases) < len(want) || !slices.Equal(rec.phases[:len(want)], want) {
+		t.Fatalf("first probe's phases = %v, want %v", rec.phases, want)
 	}
-	first := traces[0]
-	if first.Label != hostAddr.String() || first.Outcome != "success" {
-		t.Fatalf("trace = %+v", first)
-	}
-	wantOrder := []string{"syn_sent", "syn_ack", "retransmit_seen", "burst_collected", "verify_release"}
-	if len(first.Events) != len(wantOrder) {
-		t.Fatalf("events = %+v", first.Events)
-	}
-	for i, ev := range first.Events {
-		if ev.Phase != wantOrder[i] {
-			t.Fatalf("event %d = %s, want %s (all: %+v)", i, ev.Phase, wantOrder[i], first.Events)
-		}
-		if i > 0 && ev.At < first.Events[i-1].At {
-			t.Fatal("event timestamps not monotonic")
+	for i := 1; i < len(rec.at); i++ {
+		if rec.at[i] < rec.at[i-1] {
+			t.Fatalf("phase %s at %d precedes %s at %d", rec.phases[i], rec.at[i], rec.phases[i-1], rec.at[i-1])
 		}
 	}
-	if e.scan.Tracer().Active() != 0 {
-		t.Fatalf("%d traces leaked active", e.scan.Tracer().Active())
+}
+
+// TestProbeAccountingWarmAllocFree pins the cost of the lifecycle
+// aggregates on the probe hot path: once a transition's histogram and
+// an outcome's counter are resolved, a probe's phase and outcome
+// accounting must not touch the heap.
+func TestProbeAccountingWarmAllocFree(t *testing.T) {
+	n := netsim.New(1)
+	sc := NewScanner(n, scanAddr, Config{})
+	c := &connProbe{sc: sc}
+	r := ProbeResult{Outcome: OutcomeSuccess}
+	cycle := func() {
+		c.synAt = n.Now()
+		c.phase, c.phaseAt = phaseSynSent, c.synAt
+		c.trace(phaseSynAck)
+		c.trace(phaseRetransmitSeen)
+		c.trace(phaseBurstCollected)
+		c.trace(phaseVerifyRelease)
+		sc.cm.outcome(r.Taxon(), n.Now()-c.synAt)
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Errorf("warm phase×4 + outcome accounting cost %.2f allocs, want 0", avg)
+	}
+	// 202 cycles: the one above, AllocsPerRun's own warm-up, 200 measured.
+	reg := n.Metrics()
+	if got := reg.Histogram("core.probe.phase.syn_ack_to_retransmit_seen_ns").Value(); got.Count != 202 {
+		t.Errorf("transition histogram = %+v, want 202 observations", got)
+	}
+	if got := reg.Histogram("core.probe.lifetime_ns").Value(); got.Count != 202 {
+		t.Errorf("lifetime histogram = %+v, want 202 observations", got)
+	}
+	if got := reg.Counter("core.probe.outcome.success").Value(); got != 202 {
+		t.Errorf("outcome counter = %d, want 202", got)
 	}
 }
 

@@ -56,9 +56,42 @@ type Counters struct {
 	VerifyReleases int64 // verification ACKs that released more data
 }
 
+// probePhase is a step of the Figure-1 lifecycle a connection probe
+// moves through before its verdict.
+type probePhase uint8
+
+const (
+	phaseSynSent probePhase = iota
+	phaseSynAck
+	phaseRetransmitSeen
+	phaseBurstCollected
+	phaseVerifyRelease
+	numPhases
+)
+
+// phaseNames names each phase in metric names and flight records.
+var phaseNames = [numPhases]string{
+	phaseSynSent:        "syn_sent",
+	phaseSynAck:         "syn_ack",
+	phaseRetransmitSeen: "retransmit_seen",
+	phaseBurstCollected: "burst_collected",
+	phaseVerifyRelease:  "verify_release",
+}
+
 // coreMetrics caches the registry handles used on the per-segment hot
-// path.
+// path, and aggregates every probe's lifecycle:
+//
+//	core.probe.phase.<from>_to_<to>_ns  histogram of each transition
+//	core.probe.lifetime_ns              histogram of SYN→end durations
+//	core.probe.outcome.<taxon>          counter per terminal outcome
+//
+// The lifecycle handles are resolved on first use, not up front: the
+// registry creates a metric when it is first asked for and a snapshot
+// lists what exists, so a scan reports only the transitions and taxa
+// it saw. A Scanner runs on its network's one goroutine, so none of
+// this locks.
 type coreMetrics struct {
+	reg            *metrics.Registry
 	probesStarted  *metrics.Counter
 	synAcks        *metrics.Counter
 	packetsSent    *metrics.Counter
@@ -66,10 +99,15 @@ type coreMetrics struct {
 	retransmits    *metrics.Counter
 	verifyReleases *metrics.Counter
 	rtt            *metrics.Histogram // SYN → SYN-ACK, virtual ns
+
+	phases   [numPhases][numPhases]*metrics.Histogram // by (from, to)
+	lifetime *metrics.Histogram
+	outcomes map[string]*metrics.Counter // by taxon
 }
 
 func newCoreMetrics(reg *metrics.Registry) coreMetrics {
 	return coreMetrics{
+		reg:            reg,
 		probesStarted:  reg.Counter("core.probes_started"),
 		synAcks:        reg.Counter("core.synacks"),
 		packetsSent:    reg.Counter("core.packets_sent"),
@@ -77,7 +115,32 @@ func newCoreMetrics(reg *metrics.Registry) coreMetrics {
 		retransmits:    reg.Counter("core.retransmits"),
 		verifyReleases: reg.Counter("core.verify_releases"),
 		rtt:            reg.Histogram("core.rtt_ns"),
+		outcomes:       make(map[string]*metrics.Counter),
 	}
+}
+
+// phase records a from→to lifecycle transition that took d.
+func (m *coreMetrics) phase(from, to probePhase, d netsim.Time) {
+	h := m.phases[from][to]
+	if h == nil {
+		h = m.reg.Histogram("core.probe.phase." + phaseNames[from] + "_to_" + phaseNames[to] + "_ns")
+		m.phases[from][to] = h
+	}
+	h.Observe(int64(d))
+}
+
+// outcome counts a finished probe's taxon and records its lifetime.
+func (m *coreMetrics) outcome(taxon string, lifetime netsim.Time) {
+	c := m.outcomes[taxon]
+	if c == nil {
+		c = m.reg.Counter("core.probe.outcome." + taxon)
+		m.outcomes[taxon] = c
+	}
+	c.Inc()
+	if m.lifetime == nil {
+		m.lifetime = m.reg.Histogram("core.probe.lifetime_ns")
+	}
+	m.lifetime.Observe(int64(lifetime))
 }
 
 // FlightSink receives estimator-level events for the per-probe flight
@@ -101,40 +164,34 @@ type FlightSink interface {
 // concurrent connection probes over local ports, the way the ZMap probe
 // module keeps per-connection state (§3.4).
 type Scanner struct {
-	net    *netsim.Network
-	addr   wire.Addr
-	cfg    Config
-	rng    *stats.RNG
-	conns  map[uint16]*connProbe
-	next   uint16
-	stats  Counters
-	ipid   uint16
-	cm     coreMetrics
-	tracer *metrics.Tracer
-	fl     FlightSink // nil unless a flight recorder is attached
-	bloat  string     // the last httpsim.BloatedPath built, by its length
+	net   *netsim.Network
+	addr  wire.Addr
+	cfg   Config
+	rng   *stats.RNG
+	conns map[uint16]*connProbe
+	next  uint16
+	stats Counters
+	ipid  uint16
+	cm    coreMetrics
+	fl    FlightSink // nil unless a flight recorder is attached
+	bloat string     // the last httpsim.BloatedPath built, by its length
 }
 
 // NewScanner creates a scanner at addr and registers it with the
 // network.
 func NewScanner(n *netsim.Network, addr wire.Addr, cfg Config) *Scanner {
 	s := &Scanner{
-		net:    n,
-		addr:   addr,
-		cfg:    cfg.withDefaults(),
-		rng:    stats.NewRNG(cfg.Seed ^ 0x5ca99e5),
-		conns:  make(map[uint16]*connProbe),
-		next:   10000,
-		cm:     newCoreMetrics(n.Metrics()),
-		tracer: metrics.NewTracer(n.Metrics(), "core.probe"),
+		net:   n,
+		addr:  addr,
+		cfg:   cfg.withDefaults(),
+		rng:   stats.NewRNG(cfg.Seed ^ 0x5ca99e5),
+		conns: make(map[uint16]*connProbe),
+		next:  10000,
+		cm:    newCoreMetrics(n.Metrics()),
 	}
 	n.Register(addr, s)
 	return s
 }
-
-// Tracer exposes the probe-lifecycle tracer (enable trace retention
-// with SetKeep for per-probe debugging; aggregation is always on).
-func (s *Scanner) Tracer() *metrics.Tracer { return s.tracer }
 
 // SetFlight attaches a flight recorder sink (nil detaches). Callers
 // must pass nil rather than a nil-valued concrete interface.
@@ -262,8 +319,9 @@ type connProbe struct {
 	finOff  int // stream offset just past the FIN (response length)
 	reorder bool
 
-	traceID uint64      // lifecycle trace handle
-	synAt   netsim.Time // when the SYN left, for the RTT histogram
+	synAt   netsim.Time // when the SYN left: the RTT and lifetime base
+	phase   probePhase  // the lifecycle phase last entered
+	phaseAt netsim.Time // when it was entered
 
 	// timer bounds the current state's wait; onTimeout reads the state
 	// to tell which wait expired.
@@ -282,13 +340,9 @@ const (
 
 func (c *connProbe) start() {
 	c.synAt = c.sc.net.Now()
-	label := ""
-	if c.sc.tracer.Retains() {
-		label = c.target.String()
-	}
-	c.traceID = c.sc.tracer.Begin(label, "syn_sent", int64(c.synAt))
+	c.phase, c.phaseAt = phaseSynSent, c.synAt
 	if fl := c.sc.fl; fl != nil {
-		fl.ProbePhase(c.synAt, c.target, "syn_sent")
+		fl.ProbePhase(c.synAt, c.target, phaseNames[phaseSynSent])
 		fl.ProbeStep(c.synAt, c.target, "syn_options", int64(c.mss), int64(c.sc.cfg.Window))
 	}
 	var h wire.TCPHeader
@@ -321,11 +375,12 @@ func (c *connProbe) onTimeout() {
 
 // trace records a lifecycle phase transition at the current virtual
 // time, mirrored into the flight recorder when one is attached.
-func (c *connProbe) trace(phase string) {
+func (c *connProbe) trace(p probePhase) {
 	now := c.sc.net.Now()
-	c.sc.tracer.Phase(c.traceID, phase, int64(now))
+	c.sc.cm.phase(c.phase, p, now-c.phaseAt)
+	c.phase, c.phaseAt = p, now
 	if fl := c.sc.fl; fl != nil {
-		fl.ProbePhase(now, c.target, phase)
+		fl.ProbePhase(now, c.target, phaseNames[p])
 	}
 }
 
@@ -353,10 +408,11 @@ func (c *connProbe) finish(r ProbeResult, rst bool) {
 	c.state = stateDone
 	c.timer.Cancel()
 	taxon := r.Taxon()
-	c.sc.tracer.End(c.traceID, taxon, int64(c.sc.net.Now()))
+	now := c.sc.net.Now()
+	c.sc.cm.outcome(taxon, now-c.synAt)
 	if fl := c.sc.fl; fl != nil {
-		fl.ProbePhase(c.sc.net.Now(), c.target, "done:"+taxon)
-		fl.ProbeStep(c.sc.net.Now(), c.target, "probe_result", int64(r.Bytes), int64(r.Segments))
+		fl.ProbePhase(now, c.target, "done:"+taxon)
+		fl.ProbeStep(now, c.target, "probe_result", int64(r.Bytes), int64(r.Segments))
 	}
 	if rst {
 		var h wire.TCPHeader
@@ -399,7 +455,7 @@ func (c *connProbe) handleSegment(tcp *wire.TCPHeader, data []byte) {
 		c.sc.stats.SynAcks++
 		c.sc.cm.synAcks.Inc()
 		c.sc.cm.rtt.Observe(int64(c.sc.net.Now() - c.synAt))
-		c.trace("syn_ack")
+		c.trace(phaseSynAck)
 		c.flStep("synack_options", int64(tcp.MSS), int64(tcp.Window))
 		if c.synOnly {
 			// Port scan: the port is open; RST and report.
@@ -453,7 +509,7 @@ func (c *connProbe) collect(tcp *wire.TCPHeader, data []byte) {
 			c.sc.stats.Retransmits++
 			c.sc.cm.retransmits.Inc()
 			c.flSeg(off, len(data), "retransmit")
-			c.trace("retransmit_seen")
+			c.trace(phaseRetransmitSeen)
 			c.onRetransmission()
 			return
 		case addReorder:
@@ -483,7 +539,7 @@ func (c *connProbe) collect(tcp *wire.TCPHeader, data []byte) {
 	if c.sawFIN && !c.cov.hasGap() && c.cov.contiguous() >= c.finOff {
 		// The server finished its response inside the IW and every byte
 		// of it has arrived: a few-data verdict is complete now.
-		c.trace("burst_collected")
+		c.trace(phaseBurstCollected)
 		c.finishFewData()
 	}
 }
@@ -514,7 +570,7 @@ func (c *connProbe) onRetransmission() {
 		c.finish(c.result(OutcomeError, "loss-gap"), true)
 		return
 	}
-	c.trace("burst_collected")
+	c.trace(phaseBurstCollected)
 	if c.sawFIN {
 		c.finishFewData()
 		return
@@ -550,7 +606,7 @@ func (c *connProbe) verify(tcp *wire.TCPHeader, data []byte) {
 			// New data released by our ACK: the host was IW-limited.
 			c.sc.stats.VerifyReleases++
 			c.sc.cm.verifyReleases.Inc()
-			c.trace("verify_release")
+			c.trace(phaseVerifyRelease)
 			c.finish(c.result(OutcomeSuccess, ""), true)
 			return
 		}

@@ -1,13 +1,18 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"iwscan/internal/analysis"
 	"iwscan/internal/core"
 	"iwscan/internal/inet"
+	"iwscan/internal/metrics"
 	"iwscan/internal/wire"
 )
 
@@ -487,6 +492,81 @@ func TestParallelMetricsMergeEqualsUnsharded(t *testing.T) {
 	for _, name := range []string{"core.rtt_ns", "core.probe.lifetime_ns", "engine.probe_duration_ns"} {
 		if got, want := par.Metrics.Histograms[name].Count, single.Metrics.Histograms[name].Count; got != want {
 			t.Errorf("histogram %s: merged count %d, unsharded %d", name, got, want)
+		}
+	}
+}
+
+// probeAggregates is the probe-lifecycle slice of a registry snapshot:
+// the core.probe.outcome.* taxa counters, and the
+// core.probe.phase.*_ns transition and core.probe.lifetime_ns
+// histograms.
+type probeAggregates struct {
+	Counters   map[string]int64                  `json:"counters"`
+	Histograms map[string]metrics.HistogramValue `json:"histograms"`
+}
+
+func probeMetrics(s metrics.Snapshot) probeAggregates {
+	out := probeAggregates{Counters: map[string]int64{}, Histograms: map[string]metrics.HistogramValue{}}
+	for name, v := range s.Counters {
+		if strings.HasPrefix(name, "core.probe.outcome.") {
+			out.Counters[name] = v
+		}
+	}
+	for name, v := range s.Histograms {
+		if strings.HasPrefix(name, "core.probe.phase.") || name == "core.probe.lifetime_ns" {
+			out.Histograms[name] = v
+		}
+	}
+	return out
+}
+
+// TestProbeMetricsMatchGolden pins the values of the probe-lifecycle
+// aggregates, not only their names: every outcome counter and phase or
+// lifetime histogram of two fixed-seed scans must equal the checked-in
+// golden exactly, bucket for bucket, and no entry may appear or vanish.
+func TestProbeMetricsMatchGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/probe-metrics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]probeAggregates
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	u := inet.NewInternet2017(55)
+	// A clean HTTP scan, and a TLS scan through 2% loss whose
+	// retransmits and timeouts reach the error and no-data taxa.
+	for _, sc := range []struct {
+		name string
+		cfg  ScanConfig
+	}{
+		{"http", ScanConfig{Seed: 9, Strategy: core.StrategyHTTP, SampleFraction: 0.004}},
+		{"tls_loss", ScanConfig{Seed: 9, Strategy: core.StrategyTLS, SampleFraction: 0.004, Loss: 0.02}},
+	} {
+		want, ok := golden[sc.name]
+		if !ok {
+			t.Fatalf("golden has no %q scan", sc.name)
+		}
+		got := probeMetrics(RunScan(u, sc.cfg).Metrics)
+		diffMetricMaps(t, sc.name+" counter", got.Counters, want.Counters)
+		diffMetricMaps(t, sc.name+" histogram", got.Histograms, want.Histograms)
+	}
+}
+
+func diffMetricMaps[V any](t *testing.T, kind string, got, want map[string]V) {
+	t.Helper()
+	for name, w := range want {
+		g, ok := got[name]
+		switch {
+		case !ok:
+			t.Errorf("%s %s missing", kind, name)
+		case !reflect.DeepEqual(g, w):
+			t.Errorf("%s %s = %+v, want %+v", kind, name, g, w)
+		}
+	}
+	for name, g := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s %s = %+v, not in the golden", kind, name, g)
 		}
 	}
 }

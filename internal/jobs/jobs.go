@@ -115,7 +115,8 @@ type Spec struct {
 	// budget share) — see Job.EffectiveRate.
 	Rate float64 `json:"rate,omitempty"`
 	// MSSList / Repeats parameterize the IW measurement (defaults 64,128
-	// and 3, as in the CLI).
+	// and 3, as in the CLI). Each MSS is announced in the SYN's 16-bit
+	// option, so entries must lie in [1, 65535], strictly increasing.
 	MSSList []int `json:"mss_list,omitempty"`
 	Repeats int   `json:"repeats,omitempty"`
 	// MaxRetries re-launches unreachable probes up to this many times.
@@ -201,6 +202,15 @@ func (s *Spec) Normalize() error {
 	}
 	if s.Repeats < 0 || s.MaxRetries < 0 {
 		problems = append(problems, "repeats and max_retries must be >= 0")
+	}
+	for i, mss := range s.MSSList {
+		switch {
+		case mss < 1 || mss > 65535:
+			problems = append(problems, fmt.Sprintf("mss_list[%d] = %d out of range [1, 65535]", i, mss))
+		case i > 0 && mss <= s.MSSList[i-1]:
+			problems = append(problems, fmt.Sprintf("mss_list[%d] = %d not above mss_list[%d] = %d (want strictly increasing)",
+				i, mss, i-1, s.MSSList[i-1]))
+		}
 	}
 	if s.Adversity != "" {
 		prof, ok := adversityProfiles[s.Adversity]

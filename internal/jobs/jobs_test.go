@@ -108,6 +108,40 @@ func TestSpecNormalizeScanModes(t *testing.T) {
 	}
 }
 
+// TestSpecNormalizeMSSList: the core announces each MSS in a 16-bit
+// SYN option, so an entry outside [1, 65535] would silently wrap; and
+// the IW estimate walks the list upward, so it must strictly increase.
+func TestSpecNormalizeMSSList(t *testing.T) {
+	for _, ok := range [][]int{nil, {64}, {64, 128}, {1, 65535}} {
+		s := Spec{Tenant: "a", MSSList: ok}
+		if err := s.Normalize(); err != nil {
+			t.Errorf("mss_list %v rejected: %v", ok, err)
+		}
+	}
+	cases := []struct {
+		name string
+		mss  []int
+		want string
+	}{
+		{"too-large", []int{70000}, "mss_list[0] = 70000 out of range [1, 65535]"},
+		{"negative", []int{-5}, "mss_list[0] = -5 out of range [1, 65535]"},
+		{"zero", []int{0}, "mss_list[0] = 0 out of range [1, 65535]"},
+		{"one-past-16-bit", []int{64, 65536}, "mss_list[1] = 65536 out of range [1, 65535]"},
+		{"duplicate", []int{64, 64}, "mss_list[1] = 64 not above mss_list[0] = 64"},
+		{"decreasing", []int{128, 64}, "mss_list[1] = 64 not above mss_list[0] = 128"},
+	}
+	for _, c := range cases {
+		s := Spec{Tenant: "a", MSSList: c.mss}
+		err := s.Normalize()
+		switch {
+		case err == nil:
+			t.Errorf("%s: mss_list %v accepted", c.name, c.mss)
+		case !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+	}
+}
+
 // TestApplyTargetsFailsOnMissingInputs: a job whose model or hitlist
 // file is unreadable must fail at segment start with a named error, not
 // silently scan the full space.

@@ -329,6 +329,36 @@ func TestEffectiveRateBudgetShares(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedBody: a 10 MB spec body is refused with a
+// named 413 as soon as maxSpecBytes have been read, and submits nothing.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	m, err := NewManager(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	srv := httptest.NewServer(NewServer(m).Handler())
+	defer srv.Close()
+
+	// Valid JSON all the way, so only the size bound can stop it.
+	body := `{"tenant":"` + strings.Repeat("a", 10<<20) + `"}`
+	start := time.Now()
+	resp, err := srv.Client().Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := readAll(resp)
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("oversized submit took %v", elapsed)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "spec body exceeds") {
+		t.Fatalf("HTTP %d %.200q, want 413 naming the size bound", resp.StatusCode, msg)
+	}
+	if len(m.List()) != 0 {
+		t.Fatal("oversized spec left a job behind")
+	}
+}
+
 func TestSubmitRejectsInvalidSpec(t *testing.T) {
 	m, err := NewManager(Config{Dir: t.TempDir()})
 	if err != nil {

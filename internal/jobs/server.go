@@ -98,11 +98,21 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, apiError{Error: err.Error()})
 }
 
+// maxSpecBytes bounds a submitted spec's body. A spec is a few hundred
+// bytes of JSON; reading an unbounded body would let one client pin
+// the daemon's memory.
+const maxSpecBytes = 64 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(req.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("jobs: spec body exceeds %d bytes", maxSpecBytes))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("jobs: decoding spec: %w", err))
 		return
 	}

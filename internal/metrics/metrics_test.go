@@ -175,70 +175,6 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestTracerLifecycle(t *testing.T) {
-	r := NewRegistry()
-	tr := NewTracer(r, "probe")
-	tr.SetKeep(8)
-
-	id := tr.Begin("10.0.0.1", "syn_sent", 100)
-	tr.Phase(id, "syn_ack", 150)
-	tr.Phase(id, "retransmit_seen", 900)
-	tr.End(id, "success", 1000)
-
-	if tr.Active() != 0 {
-		t.Fatalf("active = %d", tr.Active())
-	}
-	if got := r.Counter("probe.outcome.success").Value(); got != 1 {
-		t.Fatalf("outcome counter = %d", got)
-	}
-	hv := r.Histogram("probe.phase.syn_sent_to_syn_ack_ns").Value()
-	if hv.Count != 1 || hv.Min != 50 || hv.Max != 50 {
-		t.Fatalf("phase histogram = %+v", hv)
-	}
-	lv := r.Histogram("probe.lifetime_ns").Value()
-	if lv.Count != 1 || lv.Max != 900 {
-		t.Fatalf("lifetime histogram = %+v", lv)
-	}
-	done := tr.Completed()
-	if len(done) != 1 || done[0].Outcome != "success" || len(done[0].Events) != 3 {
-		t.Fatalf("completed = %+v", done)
-	}
-
-	// Events after End are ignored.
-	tr.Phase(id, "late", 2000)
-	tr.End(id, "late", 2000)
-	if got := r.Counter("probe.outcome.late").Value(); got != 0 {
-		t.Fatal("phase after end was recorded")
-	}
-}
-
-func TestTracerRingBound(t *testing.T) {
-	r := NewRegistry()
-	tr := NewTracer(r, "p")
-	tr.SetKeep(3)
-	for i := 0; i < 10; i++ {
-		id := tr.Begin("x", "start", int64(i))
-		tr.End(id, "done", int64(i+1))
-	}
-	done := tr.Completed()
-	if len(done) != 3 {
-		t.Fatalf("ring holds %d, want 3", len(done))
-	}
-	if done[2].ID != 10 || done[0].ID != 8 {
-		t.Fatalf("ring kept wrong traces: %+v", done)
-	}
-	// With keep=0 nothing is retained but aggregation continues.
-	tr.SetKeep(0)
-	id := tr.Begin("x", "start", 0)
-	tr.End(id, "done", 1)
-	if len(tr.Completed()) != 0 {
-		t.Fatal("keep=0 retained traces")
-	}
-	if r.Counter("p.outcome.done").Value() != 11 {
-		t.Fatal("aggregation stopped with keep=0")
-	}
-}
-
 func TestRegistryConcurrentUse(t *testing.T) {
 	// Exercised under -race in CI: concurrent increments and snapshots.
 	r := NewRegistry()

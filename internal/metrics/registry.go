@@ -1,6 +1,6 @@
 // Package metrics is a dependency-free telemetry layer for the scan
 // stack: a registry of named counters, gauges and log-bucketed
-// histograms, plus a probe-lifecycle tracer (see tracer.go).
+// histograms.
 //
 // Design goals, in order:
 //
