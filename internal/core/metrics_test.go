@@ -124,12 +124,15 @@ func TestProbePhaseOrder(t *testing.T) {
 // TestProbeAccountingWarmAllocFree pins the cost of the lifecycle
 // aggregates on the probe hot path: once a transition's histogram and
 // an outcome's counter are resolved, a probe's phase and outcome
-// accounting must not touch the heap.
+// accounting must not touch the heap — a refined taxon such as
+// error:loss-gap included, whose counter name is built on first use
+// only.
 func TestProbeAccountingWarmAllocFree(t *testing.T) {
 	n := netsim.New(1)
 	sc := NewScanner(n, scanAddr, Config{})
 	c := &connProbe{sc: sc}
-	r := ProbeResult{Outcome: OutcomeSuccess}
+	ok := ProbeResult{Outcome: OutcomeSuccess}
+	gap := ProbeResult{Outcome: OutcomeError, Err: "loss-gap"}
 	cycle := func() {
 		c.synAt = n.Now()
 		c.phase, c.phaseAt = phaseSynSent, c.synAt
@@ -137,22 +140,25 @@ func TestProbeAccountingWarmAllocFree(t *testing.T) {
 		c.trace(phaseRetransmitSeen)
 		c.trace(phaseBurstCollected)
 		c.trace(phaseVerifyRelease)
-		sc.cm.outcome(r.Taxon(), n.Now()-c.synAt)
+		sc.cm.outcome(&ok, n.Now()-c.synAt)
+		sc.cm.outcome(&gap, n.Now()-c.synAt)
 	}
 	cycle()
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
-		t.Errorf("warm phase×4 + outcome accounting cost %.2f allocs, want 0", avg)
+		t.Errorf("warm phase×4 + outcome×2 accounting cost %.2f allocs, want 0", avg)
 	}
 	// 202 cycles: the one above, AllocsPerRun's own warm-up, 200 measured.
 	reg := n.Metrics()
 	if got := reg.Histogram("core.probe.phase.syn_ack_to_retransmit_seen_ns").Value(); got.Count != 202 {
 		t.Errorf("transition histogram = %+v, want 202 observations", got)
 	}
-	if got := reg.Histogram("core.probe.lifetime_ns").Value(); got.Count != 202 {
-		t.Errorf("lifetime histogram = %+v, want 202 observations", got)
+	if got := reg.Histogram("core.probe.lifetime_ns").Value(); got.Count != 2*202 {
+		t.Errorf("lifetime histogram = %+v, want %d observations", got, 2*202)
 	}
-	if got := reg.Counter("core.probe.outcome.success").Value(); got != 202 {
-		t.Errorf("outcome counter = %d, want 202", got)
+	for _, name := range []string{"core.probe.outcome.success", "core.probe.outcome.error:loss-gap"} {
+		if got := reg.Counter(name).Value(); got != 202 {
+			t.Errorf("%s = %d, want 202", name, got)
+		}
 	}
 }
 

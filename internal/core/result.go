@@ -69,9 +69,8 @@ type ProbeResult struct {
 	Bytes    int // distinct payload bytes received before the retransmission
 	MaxSeg   int // largest observed segment (the effective MSS in use)
 	SawFIN   bool
-	Reorder  bool   // a sequence hole was later filled (reordering)
-	Gap      bool   // a sequence hole remained (loss)
-	Head     []byte // reassembled response prefix of an HTTP probe's first GET, for redirect parsing
+	Reorder  bool // a sequence hole was later filled (reordering)
+	Gap      bool // a sequence hole remained (loss)
 	Err      string
 }
 

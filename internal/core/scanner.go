@@ -102,7 +102,14 @@ type coreMetrics struct {
 
 	phases   [numPhases][numPhases]*metrics.Histogram // by (from, to)
 	lifetime *metrics.Histogram
-	outcomes map[string]*metrics.Counter // by taxon
+	outcomes map[outcomeKey]*metrics.Counter
+}
+
+// outcomeKey is a taxon before it is rendered: the counter table is
+// keyed by it so that counting a refined outcome builds no string.
+type outcomeKey struct {
+	outcome Outcome
+	err     string
 }
 
 func newCoreMetrics(reg *metrics.Registry) coreMetrics {
@@ -115,7 +122,7 @@ func newCoreMetrics(reg *metrics.Registry) coreMetrics {
 		retransmits:    reg.Counter("core.retransmits"),
 		verifyReleases: reg.Counter("core.verify_releases"),
 		rtt:            reg.Histogram("core.rtt_ns"),
-		outcomes:       make(map[string]*metrics.Counter),
+		outcomes:       make(map[outcomeKey]*metrics.Counter),
 	}
 }
 
@@ -130,11 +137,12 @@ func (m *coreMetrics) phase(from, to probePhase, d netsim.Time) {
 }
 
 // outcome counts a finished probe's taxon and records its lifetime.
-func (m *coreMetrics) outcome(taxon string, lifetime netsim.Time) {
-	c := m.outcomes[taxon]
+func (m *coreMetrics) outcome(r *ProbeResult, lifetime netsim.Time) {
+	k := outcomeKey{r.Outcome, r.Err}
+	c := m.outcomes[k]
 	if c == nil {
-		c = m.reg.Counter("core.probe.outcome." + taxon)
-		m.outcomes[taxon] = c
+		c = m.reg.Counter("core.probe.outcome." + r.Taxon())
+		m.outcomes[k] = c
 	}
 	c.Inc()
 	if m.lifetime == nil {
@@ -173,8 +181,9 @@ type Scanner struct {
 	stats Counters
 	ipid  uint16
 	cm    coreMetrics
-	fl    FlightSink // nil unless a flight recorder is attached
-	bloat string     // the last httpsim.BloatedPath built, by its length
+	fl    FlightSink     // nil unless a flight recorder is attached
+	free  []*targetProbe // finished targets' states, for ProbeTarget to reuse
+	bloat string         // the last httpsim.BloatedPath built, by its length
 }
 
 // NewScanner creates a scanner at addr and registers it with the
@@ -262,36 +271,31 @@ func (s *Scanner) send(dst wire.Addr, h *wire.TCPHeader, payload []byte) {
 	s.net.SendPacket(p)
 }
 
-// probeSpec parameterizes one connection probe.
-type probeSpec struct {
-	target  wire.Addr
-	dstPort uint16
-	mss     int
-	payload []byte // the request sent with the handshake-completing ACK
-	// keepHead retains the response prefix in ProbeResult.Head.
-	keepHead bool
-	// synOnly runs a plain ZMap-style port scan: SYN, then RST the
-	// SYN-ACK (§3.4's baseline for the efficiency comparison).
-	synOnly bool
-}
-
-// startProbe launches one connection probe; done is invoked exactly once.
-func (s *Scanner) startProbe(spec probeSpec, done func(ProbeResult)) {
+// open starts a connection probe on c, which is idle: never used, or
+// finished. Every per-connection field starts from zero; the owner, the
+// bound timer and the coverage array are kept. c.owner.probeDone runs
+// exactly once when the connection ends.
+func (c *connProbe) open(mss int, payload []byte, keepHead, synOnly bool) {
+	s, tp := c.sc, c.owner
 	s.stats.ProbesStarted++
 	s.cm.probesStarted.Inc()
-	c := &connProbe{
+	*c = connProbe{
 		sc:        s,
-		target:    spec.target,
-		dstPort:   spec.dstPort,
+		owner:     tp,
+		target:    tp.target,
+		dstPort:   tp.cfg.Port,
 		localPort: s.allocPort(),
-		mss:       spec.mss,
-		payload:   spec.payload,
-		keepHead:  spec.keepHead,
-		synOnly:   spec.synOnly,
+		mss:       mss,
+		payload:   payload,
+		keepHead:  keepHead,
+		synOnly:   synOnly,
 		isn:       s.rng.Uint32(),
-		done:      done,
+		cov:       coverage{ivals: c.cov.ivals[:0]},
+		timer:     c.timer,
 	}
-	c.timer.Bind(s.net, func(a any) { a.(*connProbe).onTimeout() }, c)
+	if keepHead {
+		tp.head = tp.head[:0]
+	}
 	s.conns[c.localPort] = c
 	c.start()
 }
@@ -299,20 +303,22 @@ func (s *Scanner) startProbe(spec probeSpec, done func(ProbeResult)) {
 // connProbe is the per-connection inference state machine of Figure 1.
 type connProbe struct {
 	sc        *Scanner
+	owner     *targetProbe // the target this connection probes
 	target    wire.Addr
 	dstPort   uint16
 	localPort uint16
 	mss       int
-	payload   []byte
-	keepHead  bool
-	synOnly   bool
+	payload   []byte // the request sent with the handshake-completing ACK
+	keepHead  bool   // record the response prefix into owner.head
+	// synOnly runs a plain ZMap-style port scan: SYN, then RST the
+	// SYN-ACK (§3.4's baseline for the efficiency comparison).
+	synOnly bool
 
 	state probeState
 	isn   uint32
 	irs   uint32 // server's initial sequence number
 
 	cov     coverage
-	head    []byte
 	segs    int // distinct data segments received
 	maxSeg  int
 	sawFIN  bool
@@ -324,9 +330,9 @@ type connProbe struct {
 	phaseAt netsim.Time // when it was entered
 
 	// timer bounds the current state's wait; onTimeout reads the state
-	// to tell which wait expired.
+	// to tell which wait expired. It is bound once, when the owner is
+	// made.
 	timer netsim.Timer
-	done  func(ProbeResult)
 }
 
 type probeState int
@@ -407,11 +413,10 @@ func (c *connProbe) finish(r ProbeResult, rst bool) {
 	}
 	c.state = stateDone
 	c.timer.Cancel()
-	taxon := r.Taxon()
 	now := c.sc.net.Now()
-	c.sc.cm.outcome(taxon, now-c.synAt)
+	c.sc.cm.outcome(&r, now-c.synAt)
 	if fl := c.sc.fl; fl != nil {
-		fl.ProbePhase(now, c.target, "done:"+taxon)
+		fl.ProbePhase(now, c.target, "done:"+r.Taxon())
 		fl.ProbeStep(now, c.target, "probe_result", int64(r.Bytes), int64(r.Segments))
 	}
 	if rst {
@@ -425,7 +430,7 @@ func (c *connProbe) finish(r ProbeResult, rst bool) {
 		c.sc.send(c.target, &h, nil)
 	}
 	delete(c.sc.conns, c.localPort)
-	c.done(r)
+	c.owner.probeDone(r)
 }
 
 // nextSeq is the scanner's current send sequence number.
@@ -544,22 +549,26 @@ func (c *connProbe) collect(tcp *wire.TCPHeader, data []byte) {
 	}
 }
 
-// record copies payload into the head buffer for later HTTP parsing,
-// on the one connection of a probe whose head is parsed.
+// record copies payload into the owner's head buffer for later HTTP
+// parsing, on the one connection of a probe whose head is parsed. A
+// hole reads as zeros, whatever an earlier connection left in the
+// buffer.
 func (c *connProbe) record(off int, data []byte) {
-	cap := c.sc.cfg.HeadCap
-	if !c.keepHead || off >= cap {
+	headCap := c.sc.cfg.HeadCap
+	if !c.keepHead || off >= headCap {
 		return
 	}
 	end := off + len(data)
-	if end > cap {
-		end = cap
+	if end > headCap {
+		end = headCap
 		data = data[:end-off]
 	}
-	if len(c.head) < end {
-		c.head = append(c.head, make([]byte, end-len(c.head))...)
+	head := c.owner.head
+	if len(head) < end {
+		head = append(head, make([]byte, end-len(head))...)
 	}
-	copy(c.head[off:end], data)
+	copy(head[off:end], data)
+	c.owner.head = head
 }
 
 // onRetransmission is the Figure-1 pivot: the burst is complete, so
@@ -648,7 +657,6 @@ func (c *connProbe) result(o Outcome, err string) ProbeResult {
 		SawFIN:   c.sawFIN,
 		Reorder:  c.reorder,
 		Gap:      c.cov.hasGap(),
-		Head:     c.head,
 		Err:      err,
 	}
 }

@@ -77,13 +77,17 @@ type TargetConfig struct {
 	NoBloat          bool
 }
 
+// defaultMSSList is the paper's pair of announced MSS values; it is
+// shared, and never written.
+var defaultMSSList = []int{64, 128}
+
 func (tc *TargetConfig) withDefaults() TargetConfig {
 	out := *tc
 	if out.Port == 0 {
 		out.Port = out.Strategy.DefaultPort()
 	}
 	if len(out.MSSList) == 0 {
-		out.MSSList = []int{64, 128}
+		out.MSSList = defaultMSSList
 	}
 	if out.Repeats == 0 {
 		out.Repeats = 3
@@ -96,95 +100,148 @@ func (tc *TargetConfig) withDefaults() TargetConfig {
 
 // ProbeTarget runs the full inference sequence against one host: for
 // each MSS, Repeats probes back to back ("all six probes are sent after
-// each other"), then aggregation. done is invoked exactly once.
+// each other"), then aggregation. done is invoked exactly once, and the
+// TargetResult it gets, slices included, is its own.
 func (s *Scanner) ProbeTarget(target wire.Addr, tc TargetConfig, done func(*TargetResult)) {
-	cfg := tc.withDefaults()
-	if cfg.Strategy == StrategySYN {
-		s.startProbe(probeSpec{target: target, dstPort: cfg.Port, mss: cfg.MSSList[0], synOnly: true},
-			func(r ProbeResult) {
-				tr := &TargetResult{Addr: target, Port: cfg.Port, Outcome: r.Outcome}
-				done(tr)
-			})
+	tp := s.targetProbe()
+	tp.target, tp.cfg, tp.done = target, tc.withDefaults(), done
+	if tp.cfg.Strategy == StrategySYN {
+		tp.conn.open(tp.cfg.MSSList[0], nil, false, true)
 		return
 	}
-
-	var perMSS []MSSResult
-	mssIdx := 0
-	var probes []ProbeResult
-
-	var nextProbe func()
-	nextProbe = func() {
-		if len(probes) == cfg.Repeats {
-			perMSS = append(perMSS, aggregateMSS(cfg.MSSList[mssIdx], probes))
-			probes = nil
-			mssIdx++
-			// If the host is unreachable at the first MSS, skip the rest.
-			if mssIdx >= len(cfg.MSSList) || perMSS[0].Outcome == OutcomeUnreachable {
-				done(finalizeTarget(target, cfg.Port, perMSS))
-				return
-			}
+	// The result's own arrays, filled in place and handed over whole.
+	tp.probes = make([]ProbeResult, 0, len(tp.cfg.MSSList)*tp.cfg.Repeats)
+	tp.perMSS = make([]MSSResult, 0, len(tp.cfg.MSSList))
+	if tp.cfg.Strategy != StrategyTLS {
+		tp.host = tp.cfg.SNI
+		if tp.host == "" {
+			tp.host = target.String() // only the IP is known Internet-wide
 		}
-		mss := cfg.MSSList[mssIdx]
-		s.runStrategyProbe(target, cfg, mss, func(r ProbeResult) {
-			probes = append(probes, r)
-			nextProbe()
-		})
+		tp.get = httpsim.AppendRequest(tp.get[:0], "/", tp.host, "Connection", "close", "Accept", "*/*")
 	}
-	nextProbe()
+	tp.next()
 }
 
-// runStrategyProbe performs one application-level probe, which for HTTP
-// may span up to two connections.
-func (s *Scanner) runStrategyProbe(target wire.Addr, cfg TargetConfig, mss int, done func(ProbeResult)) {
-	switch cfg.Strategy {
-	case StrategyTLS:
-		hello := tlssim.BuildClientHello(s.rng, cfg.SNI)
-		s.startProbe(probeSpec{target: target, dstPort: cfg.Port, mss: mss, payload: hello}, done)
-	default:
-		s.httpProbe(target, cfg, mss, done)
-	}
+// targetProbe is one in-flight target's probe sequence: Repeats probes
+// per MSS, one connection at a time, each HTTP probe possibly followed
+// by §3.2's second connection. Its methods replace a chain of closures.
+// A finished state goes on its Scanner's free list. That saves nothing
+// where a scan has every target in flight at once (a census), but a
+// scan that probes in waits — the retry pass of a lossy scan, a job's
+// segments — reuses most of its states. Each buffer is rewritten only
+// once the connection that sends or fills it has finished.
+type targetProbe struct {
+	conn   connProbe // a target never has two connections open at once
+	target wire.Addr
+	cfg    TargetConfig
+	done   func(*TargetResult)
+
+	probes []ProbeResult // every finished probe, MSS by MSS
+	perMSS []MSSResult   // one per finished MSS; Probes are slices of probes
+
+	host  string // the HTTP Host header
+	get   []byte // the GET / request, the same bytes for every probe
+	req   []byte // the redirect or bloat request of a follow-up
+	hello []byte // the TLS ClientHello of the current probe
+	head  []byte // the GET / connection's response prefix
+
+	following bool        // the open connection is an HTTP follow-up
+	first     ProbeResult // the GET / result the follow-up competes with
 }
 
-// httpProbe implements §3.2: GET / first; follow a 301's Location on a
-// fresh connection; otherwise, if the response was too small, retry with
-// a long URI that bloats URI-echoing error pages.
-func (s *Scanner) httpProbe(target wire.Addr, cfg TargetConfig, mss int, done func(ProbeResult)) {
-	host := cfg.SNI
-	if host == "" {
-		host = target.String() // only the IP is known Internet-wide
+// targetProbe takes a state off the free list, or makes one.
+func (s *Scanner) targetProbe() *targetProbe {
+	if n := len(s.free); n > 0 {
+		tp := s.free[n-1]
+		s.free = s.free[:n-1]
+		return tp
 	}
-	first := httpsim.AppendRequest(nil, "/", host, "Connection", "close", "Accept", "*/*")
-	s.startProbe(probeSpec{target: target, dstPort: cfg.Port, mss: mss, payload: first, keepHead: true}, func(r1 ProbeResult) {
-		if r1.Outcome == OutcomeSuccess || r1.Outcome == OutcomeUnreachable {
-			done(r1)
+	tp := &targetProbe{}
+	tp.conn.sc, tp.conn.owner = s, tp
+	tp.conn.timer.Bind(s.net, func(a any) { a.(*connProbe).onTimeout() }, &tp.conn)
+	return tp
+}
+
+// next starts the target's next probe, or reports the target once its
+// last MSS has all its probes.
+func (tp *targetProbe) next() {
+	cfg := &tp.cfg
+	if from := len(tp.perMSS) * cfg.Repeats; len(tp.probes)-from == cfg.Repeats {
+		n := len(tp.probes)
+		tp.perMSS = append(tp.perMSS, aggregateMSS(cfg.MSSList[len(tp.perMSS)], tp.probes[from:n:n]))
+		// If the host is unreachable at the first MSS, skip the rest.
+		if len(tp.perMSS) >= len(cfg.MSSList) || tp.perMSS[0].Outcome == OutcomeUnreachable {
+			tr := finalizeTarget(tp.target, cfg.Port, tp.perMSS)
+			tp.probes, tp.perMSS = nil, nil // the caller's now
+			tp.report(tr)
 			return
 		}
-		// Redirect? Parse what we saw of the response head.
-		if head := httpsim.ParseResponseHead(r1.Head); !cfg.NoRedirectFollow && head != nil &&
-			(head.StatusCode == 301 || head.StatusCode == 302) && head.Location != "" {
-			locHost, locPath := httpsim.ParseURI(head.Location)
-			if locHost == "" {
-				locHost = host
-			}
-			req := httpsim.AppendRequest(nil, locPath, locHost, "Connection", "close", "Accept", "*/*")
-			s.startProbe(probeSpec{target: target, dstPort: cfg.Port, mss: mss, payload: req}, func(r2 ProbeResult) {
-				done(betterProbe(r1, r2))
-			})
+	}
+	mss := cfg.MSSList[len(tp.perMSS)]
+	if cfg.Strategy == StrategyTLS {
+		tp.hello = tlssim.AppendClientHello(tp.hello[:0], tp.conn.sc.rng, cfg.SNI)
+		tp.conn.open(mss, tp.hello, false, false)
+		return
+	}
+	tp.conn.open(mss, tp.get, true, false)
+}
+
+// probeDone takes the result of the connection that just finished.
+func (tp *targetProbe) probeDone(r ProbeResult) {
+	switch {
+	case tp.cfg.Strategy == StrategySYN:
+		tp.report(&TargetResult{Addr: tp.target, Port: tp.cfg.Port, Outcome: r.Outcome})
+		return
+	case tp.following:
+		tp.following = false
+		r = betterProbe(tp.first, r)
+	case tp.cfg.Strategy != StrategyTLS:
+		if tp.followUp(r) {
 			return
 		}
-		if cfg.NoBloat {
-			done(r1)
-			return
+	}
+	tp.probes = append(tp.probes, r)
+	tp.next()
+}
+
+// followUp implements the rest of §3.2 after GET /: follow a 301's
+// Location on a fresh connection; otherwise, if the response was too
+// small, retry with a long URI that bloats URI-echoing error pages. It
+// reports whether it opened that second connection.
+func (tp *targetProbe) followUp(r ProbeResult) bool {
+	if r.Outcome == OutcomeSuccess || r.Outcome == OutcomeUnreachable {
+		return false
+	}
+	s, cfg := tp.conn.sc, &tp.cfg
+	// Redirect? Parse what we saw of the response head.
+	if head := httpsim.ParseResponseHead(tp.head); !cfg.NoRedirectFollow && head != nil &&
+		(head.StatusCode == 301 || head.StatusCode == 302) && head.Location != "" {
+		locHost, locPath := httpsim.ParseURI(head.Location)
+		if locHost == "" {
+			locHost = tp.host
 		}
+		tp.req = httpsim.AppendRequest(tp.req[:0], locPath, locHost, "Connection", "close", "Accept", "*/*")
+	} else if cfg.NoBloat {
+		return false
+	} else {
 		// Bloat the URI to enlarge a 404 error page.
 		if len(s.bloat) != cfg.BloatLen {
 			s.bloat = httpsim.BloatedPath(cfg.BloatLen)
 		}
-		bloated := httpsim.AppendRequest(nil, s.bloat, host, "Connection", "close")
-		s.startProbe(probeSpec{target: target, dstPort: cfg.Port, mss: mss, payload: bloated}, func(r2 ProbeResult) {
-			done(betterProbe(r1, r2))
-		})
-	})
+		tp.req = httpsim.AppendRequest(tp.req[:0], s.bloat, tp.host, "Connection", "close")
+	}
+	tp.following, tp.first = true, r
+	tp.conn.open(tp.conn.mss, tp.req, false, false)
+	return true
+}
+
+// report hands the result to done, then puts the state back on the
+// free list.
+func (tp *targetProbe) report(tr *TargetResult) {
+	done := tp.done
+	tp.done = nil
+	done(tr)
+	tp.conn.sc.free = append(tp.conn.sc.free, tp)
 }
 
 // betterProbe picks the more informative of two connection attempts.

@@ -2,18 +2,46 @@ package tlssim
 
 import "iwscan/internal/stats"
 
-// BuildClientHello constructs the complete ClientHello record the
-// scanner sends: the 40-suite cipher list plus an OCSP status_request
-// extension to coax extra bytes out of stapling hosts (§3.3). If sni is
-// non-empty a server_name extension is included; the Internet-wide scan
-// leaves it empty because only IP addresses are known.
+// AppendClientHello appends the complete ClientHello record the
+// scanner sends to dst: the 40-suite cipher list plus an OCSP
+// status_request extension to coax extra bytes out of stapling hosts
+// (§3.3). If sni is non-empty a server_name extension is included; the
+// Internet-wide scan leaves it empty because only IP addresses are
+// known, and copies helloTemplate, so into a buffer with room it does
+// not allocate. The 32 random bytes are written in place, one
+// rng.Uint64 draw each.
+func AppendClientHello(dst []byte, rng *stats.RNG, sni string) []byte {
+	start := len(dst)
+	if sni == "" {
+		dst = append(dst, helloTemplate...)
+	} else {
+		dst = append(dst, encodeHello(sni)...)
+	}
+	random := dst[start+helloRandomOff : start+helloRandomOff+32]
+	for i := range random {
+		random[i] = byte(rng.Uint64())
+	}
+	return dst
+}
+
+// BuildClientHello returns AppendClientHello(nil, rng, sni).
 func BuildClientHello(rng *stats.RNG, sni string) []byte {
+	return AppendClientHello(nil, rng, sni)
+}
+
+// helloRandomOff is where the random sits in a ClientHello record:
+// behind the record header (5 bytes), the handshake header (4) and the
+// client version (2).
+const helloRandomOff = 5 + 4 + 2
+
+// helloTemplate is the ClientHello record without SNI.
+var helloTemplate = encodeHello("")
+
+// encodeHello builds the ClientHello record with a zero random.
+func encodeHello(sni string) []byte {
 	ch := &ClientHello{
 		Version:      VersionTLS12,
 		CipherSuites: DefaultCipherSuites,
-	}
-	for i := range ch.Random {
-		ch.Random[i] = byte(rng.Uint64())
 	}
 	ch.Extensions = append(ch.Extensions, StatusRequestExtension())
 	if sni != "" {

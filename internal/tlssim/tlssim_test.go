@@ -269,6 +269,68 @@ func TestBuildClientHelloWithSNI(t *testing.T) {
 	}
 }
 
+// referenceClientHello is the oracle AppendClientHello is held to: the
+// hello built field by field and run through the structured encoders,
+// with the random drawn first, one rng.Uint64 per byte.
+func referenceClientHello(rng *stats.RNG, sni string) []byte {
+	ch := &ClientHello{Version: VersionTLS12, CipherSuites: DefaultCipherSuites}
+	for i := range ch.Random {
+		ch.Random[i] = byte(rng.Uint64())
+	}
+	ch.Extensions = append(ch.Extensions, StatusRequestExtension())
+	if sni != "" {
+		ch.Extensions = append(ch.Extensions, SNIExtension(sni))
+	}
+	ch.Extensions = append(ch.Extensions,
+		Extension{Type: ExtSignatureAlgs, Data: []byte{0x00, 0x08, 0x04, 0x01, 0x04, 0x03, 0x05, 0x01, 0x05, 0x03}},
+		Extension{Type: ExtSupportedGrps, Data: []byte{0x00, 0x06, 0x00, 0x17, 0x00, 0x18, 0x00, 0x19}},
+		Extension{Type: ExtECPointFmts, Data: []byte{0x01, 0x00}},
+	)
+	hs := EncodeHandshake(nil, Handshake{Type: HandshakeClientHello, Body: EncodeClientHello(ch)})
+	return EncodeRecord(nil, Record{Type: RecordHandshake, Version: 0x0301, Payload: hs})
+}
+
+// TestAppendClientHelloMatchesReference: the hello with its random
+// written in place afterwards — the template copy, or the SNI variant —
+// is byte-identical to the structured composition with the random
+// drawn first, for several seeds, appended to a fresh or a reused
+// buffer, and it leaves the RNG where the reference leaves it.
+func TestAppendClientHelloMatchesReference(t *testing.T) {
+	long := string(bytes.Repeat([]byte("a"), 300)) // lengths past one byte
+	buf := []byte("prefix")
+	for seed := uint64(1); seed <= 5; seed++ {
+		for _, sni := range []string{"", "example.org", "www.example.com", long} {
+			want := referenceClientHello(stats.NewRNG(seed), sni)
+			got := AppendClientHello(nil, stats.NewRNG(seed), sni)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d sni %q:\n got %x\nwant %x", seed, sni, got, want)
+			}
+			ref, rng := stats.NewRNG(seed), stats.NewRNG(seed)
+			referenceClientHello(ref, sni)
+			buf = AppendClientHello(buf[:6], rng, sni)
+			if string(buf[:6]) != "prefix" || !bytes.Equal(buf[6:], want) {
+				t.Fatalf("seed %d sni %q: appending to a used buffer gave %x", seed, sni, buf)
+			}
+			if ref.Uint64() != rng.Uint64() {
+				t.Fatalf("seed %d sni %q: RNG left at a different draw", seed, sni)
+			}
+		}
+	}
+	if !bytes.Equal(BuildClientHello(stats.NewRNG(7), ""), referenceClientHello(stats.NewRNG(7), "")) {
+		t.Fatal("BuildClientHello differs from the reference")
+	}
+}
+
+// TestAppendClientHelloAllocFree: into a buffer with room, the
+// Internet-wide scan's hello (no SNI) costs no allocation.
+func TestAppendClientHelloAllocFree(t *testing.T) {
+	rng := stats.NewRNG(1)
+	buf := make([]byte, 0, 512)
+	if avg := testing.AllocsPerRun(100, func() { buf = AppendClientHello(buf[:0], rng, "") }); avg != 0 {
+		t.Errorf("%.1f allocs per hello, want 0", avg)
+	}
+}
+
 func TestFirstFlightLenScalesWithChain(t *testing.T) {
 	small := FirstFlightLen(500, false, 0)
 	big := FirstFlightLen(5000, false, 0)
