@@ -51,13 +51,15 @@ test:
 # tlssim are here for their response memos: a Server's memoised wire
 # bytes are unsynchronised by contract (one Server, one Host, one
 # Network, one goroutine), and their tests replay one Server across
-# connections, so a second writer would show up as a race.
+# connections, so a second writer would show up as a race. inet is here
+# because every shard's simulator materialises its hosts from one
+# shared Universe, which must stay read-only.
 race:
 	$(GO) test -race ./internal/metrics/... ./internal/core/... \
 		./internal/scanner/... ./internal/output/... ./internal/experiments/... \
 		./internal/netsim/... ./internal/tcpstack/... ./internal/flight/... \
 		./internal/timeseries/... ./internal/jobs/... ./internal/events/... \
-		./internal/httpsim/... ./internal/tlssim/...
+		./internal/httpsim/... ./internal/tlssim/... ./internal/inet/...
 
 # cover writes one aggregate coverage profile across every package to
 # $(VALIDATE_OUT)/cover.out (CI uploads it) plus an HTML render, and

@@ -17,11 +17,11 @@ import (
 // prober: one whole ProbeTarget against a warm host, through the
 // network and the host. The scanner's own share per target is the
 // TargetResult, its PerMSS and Probes backing arrays, the Host text of
-// an HTTP target (wire.Addr.String) and, per HTTP follow-up, parsing
-// the GET / head; the done closure below is one more. The rest is the
-// host's per connection: tcpstack's accept and httpsim's session (see
-// tcpstack's TestExchangeAllocBudget), the echo 404 assembled around
-// each request's path, and the TLS server decoding each ClientHello.
+// an HTTP target (wire.Addr.String); the done closure below is one
+// more. The rest is the host's per connection: the echo 404 assembled
+// around each request's path and the TLS server decoding each
+// ClientHello. Accepting a connection and opening its session cost
+// nothing (see tcpstack's TestExchangeAllocBudget).
 func TestProbeTargetAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -29,18 +29,18 @@ func TestProbeTargetAllocBudget(t *testing.T) {
 		tc     TargetConfig
 		listen func(h *tcpstack.Host)
 	}{
-		// 6 probes, each a GET / and a bloated follow-up: 12 connections
-		// at 3 allocations each on the host; measured 53.
-		{"http-bloat", 54, TargetConfig{Strategy: StrategyHTTP}, func(h *tcpstack.Host) {
+		// 6 probes, each a GET / and a bloated follow-up: 12 connections,
+		// each with its echo 404; measured 23.
+		{"http-bloat", 24, TargetConfig{Strategy: StrategyHTTP}, func(h *tcpstack.Host) {
 			h.Listen(80, httpsim.NewServer(httpsim.ServerConfig{Root: httpsim.BehaviorNotFound, EchoURI: true}))
 		}},
-		// 6 connections at 7 allocations each on the host; measured 46.
-		{"tls", 47, TargetConfig{Strategy: StrategyTLS}, func(h *tcpstack.Host) {
+		// 6 connections at 5 allocations each on the host; measured 34.
+		{"tls", 35, TargetConfig{Strategy: StrategyTLS}, func(h *tcpstack.Host) {
 			h.Listen(443, tlssim.NewServer(tlssim.ServerConfig{Behavior: tlssim.BehaviorServeChain, ChainLen: 5000, Seed: 9}))
 		}},
-		// One connection, never accepted: the result and the closure;
-		// measured 3.
-		{"syn", 4, TargetConfig{Strategy: StrategySYN}, func(h *tcpstack.Host) {
+		// One connection, which the host opens in its own Conn and the
+		// scanner resets: the result and the closure; measured 2.
+		{"syn", 3, TargetConfig{Strategy: StrategySYN}, func(h *tcpstack.Host) {
 			h.Listen(80, httpsim.NewServer(httpsim.ServerConfig{Root: httpsim.BehaviorPage, PageLen: 100}))
 		}},
 	} {

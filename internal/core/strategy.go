@@ -214,7 +214,7 @@ func (tp *targetProbe) followUp(r ProbeResult) bool {
 	}
 	s, cfg := tp.conn.sc, &tp.cfg
 	// Redirect? Parse what we saw of the response head.
-	if head := httpsim.ParseResponseHead(tp.head); !cfg.NoRedirectFollow && head != nil &&
+	if head, ok := httpsim.ParseResponseHead(tp.head); !cfg.NoRedirectFollow && ok &&
 		(head.StatusCode == 301 || head.StatusCode == 302) && head.Location != "" {
 		locHost, locPath := httpsim.ParseURI(head.Location)
 		if locHost == "" {

@@ -36,8 +36,8 @@ func FuzzParseResponseHead(f *testing.F) {
 	f.Add([]byte("HT"))
 	f.Add([]byte("HTTP/ 100000"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h := ParseResponseHead(data)
-		if h == nil {
+		h, ok := ParseResponseHead(data)
+		if !ok {
 			return
 		}
 		if h.StatusCode < 0 || h.StatusCode > 10000 {

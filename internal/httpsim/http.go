@@ -217,18 +217,15 @@ type ResponseHead struct {
 }
 
 // ParseResponseHead extracts what it can from a possibly-truncated
-// response prefix. It returns nil if b does not start like an HTTP
+// response prefix. It reports false if b does not start like an HTTP
 // response.
-func ParseResponseHead(b []byte) *ResponseHead {
+func ParseResponseHead(b []byte) (ResponseHead, bool) {
 	const magic = "HTTP/"
+	h := ResponseHead{ContentLen: -1}
 	if !bytes.HasPrefix(b, []byte(magic)) {
-		if len(b) < len(magic) && strings.HasPrefix(magic, string(b)) {
-			// Too short to tell; treat as "not yet".
-			return &ResponseHead{ContentLen: -1}
-		}
-		return nil
+		// Too short to tell is "not yet", not "not HTTP".
+		return h, len(b) < len(magic) && strings.HasPrefix(magic, string(b))
 	}
-	h := &ResponseHead{ContentLen: -1}
 	head := b
 	if end := bytes.Index(b, headEnd); end >= 0 {
 		h.Complete = true
@@ -262,7 +259,7 @@ func ParseResponseHead(b []byte) *ResponseHead {
 			}
 		}
 	}
-	return h
+	return h, true
 }
 
 // ParseURI splits an absolute http:// URI into host and path. Relative

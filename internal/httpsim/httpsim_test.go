@@ -55,8 +55,8 @@ func TestBuildRequestRoundTrip(t *testing.T) {
 
 func TestParseResponseHeadComplete(t *testing.T) {
 	raw := BuildResponse(301, "Moved Permanently", []byte("moved"), "Location", "http://example.org/new")
-	h := ParseResponseHead(raw)
-	if h == nil || !h.Complete {
+	h, ok := ParseResponseHead(raw)
+	if !ok || !h.Complete {
 		t.Fatal("head not parsed")
 	}
 	if h.StatusCode != 301 || h.Location != "http://example.org/new" {
@@ -73,8 +73,8 @@ func TestParseResponseHeadComplete(t *testing.T) {
 func TestParseResponseHeadPartial(t *testing.T) {
 	// Only the first 40 bytes arrived (one MSS-64 segment minus options).
 	raw := BuildResponse(301, "Moved Permanently", nil, "Location", "http://example.org/page")
-	h := ParseResponseHead(raw[:40])
-	if h == nil {
+	h, ok := ParseResponseHead(raw[:40])
+	if !ok {
 		t.Fatal("partial head rejected")
 	}
 	if h.Complete {
@@ -84,18 +84,18 @@ func TestParseResponseHeadPartial(t *testing.T) {
 		t.Fatalf("status = %d", h.StatusCode)
 	}
 	// With 60 bytes, the Location line is included.
-	h = ParseResponseHead(raw[:65])
+	h, _ = ParseResponseHead(raw[:65])
 	if h.Location == "" {
 		t.Fatal("Location not extracted from partial head")
 	}
 }
 
 func TestParseResponseHeadNotHTTP(t *testing.T) {
-	if h := ParseResponseHead([]byte("\x16\x03\x03binary")); h != nil {
+	if _, ok := ParseResponseHead([]byte("\x16\x03\x03binary")); ok {
 		t.Fatal("binary data parsed as HTTP")
 	}
 	// A short prefix of "HTTP/" is indeterminate, not a failure.
-	if h := ParseResponseHead([]byte("HT")); h == nil {
+	if _, ok := ParseResponseHead([]byte("HT")); !ok {
 		t.Fatal("short prefix should be indeterminate")
 	}
 }
@@ -148,7 +148,7 @@ func TestBloatedPath(t *testing.T) {
 
 func TestBuildResponseContentLength(t *testing.T) {
 	raw := BuildResponse(200, "OK", make([]byte, 321))
-	h := ParseResponseHead(raw)
+	h, _ := ParseResponseHead(raw)
 	if h.ContentLen != 321 {
 		t.Fatalf("content length = %d", h.ContentLen)
 	}

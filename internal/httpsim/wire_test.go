@@ -225,3 +225,50 @@ func TestRequestInPiecesCostsLinearMemory(t *testing.T) {
 		t.Fatalf("response to the request in pieces: got %d bytes %.80q, want %d bytes %.80q", len(got), got, len(want), want)
 	}
 }
+
+// TestSplitRequestBesideSecondConnection: a request that arrives in two
+// pieces keeps its session while a second connection opens and is
+// answered in between. The second connection must get a session of its
+// own, not the server's one session the first still holds, and each
+// connection must get the response to its own request.
+func TestSplitRequestBesideSecondConnection(t *testing.T) {
+	cfg := ServerConfig{Root: BehaviorNotFound, EchoURI: true, Seed: 5}
+	first := BuildRequest("/first/request", "198.51.100.10", "Connection", "close")
+	second := BuildRequest("/second", "198.51.100.10", "Connection", "close")
+
+	n := netsim.New(1)
+	host := tcpstack.NewHost(n, testServer, tcpstack.Config{IW: tcpstack.IWPolicy{Segments: 10}})
+	tap := &sessionTap{app: NewServer(cfg)}
+	host.Listen(80, tap)
+	cl := tcpstack.NewClient(n, testClient, tcpstack.ClientConfig{})
+	got := make([]reply, 2)
+	connect := func(i int, request []byte) {
+		cl.Connect(testServer, 80, request, tcpstack.ClientEvents{
+			OnData:  func(_ *tcpstack.ClientConn, data []byte) { got[i].data = append(got[i].data, data...) },
+			OnClose: func(_ *tcpstack.ClientConn, complete bool) { got[i].closed, got[i].graceful = true, complete },
+		})
+	}
+
+	connect(0, nil)
+	n.Run(netsim.Second) // handshake done, no request yet
+	one := tap.last
+	one.OnData(first[:len(first)/2])
+
+	connect(1, second)
+	n.Run(2 * netsim.Second)
+	if tap.last == one {
+		t.Fatal("the second connection was handed the session the first still holds")
+	}
+	if !got[1].closed {
+		t.Fatal("the second connection was not answered while the first waited")
+	}
+
+	one.OnData(first[len(first)/2:])
+	n.RunUntilIdle()
+	for i, request := range [][]byte{first, second} {
+		if want := referenceReply(cfg, request); !bytes.Equal(got[i].data, want.data) || got[i].closed != want.closed {
+			t.Errorf("connection %d: got %d bytes %.80q (closed %v), want %d bytes %.80q (closed %v)",
+				i+1, len(got[i].data), got[i].data, got[i].closed, len(want.data), want.data, want.closed)
+		}
+	}
+}

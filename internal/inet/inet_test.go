@@ -1,10 +1,13 @@
 package inet
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"iwscan/internal/core"
 	"iwscan/internal/netsim"
 	"iwscan/internal/tcpstack"
 	"iwscan/internal/wire"
@@ -201,6 +204,119 @@ func TestReverseDNSStyles(t *testing.T) {
 	}
 	if u.ReverseDNS(wire.MustParseAddr("8.8.8.8")) != "" {
 		t.Fatal("rDNS for unowned address")
+	}
+}
+
+// referenceReverseDNS is ReverseDNS as written with fmt, before names
+// were built in a stack buffer.
+func referenceReverseDNS(u *Universe, addr wire.Addr) string {
+	as := u.ASOf(addr)
+	if as == nil {
+		return ""
+	}
+	a, b, c, d := byte(addr>>24), byte(addr>>16), byte(addr>>8), byte(addr)
+	switch as.RDNS {
+	case RDNSAccessIP:
+		kws := []string{"customer", "dyn", "dialin"}
+		if as.Class != ClassAccess {
+			kws = []string{"static", "node", "core"}
+		}
+		kw := kws[u.hash(0x5d5, addr)%3]
+		return fmt.Sprintf("%d-%d-%d-%d.%s.%s", a, b, c, d, kw, as.Domain)
+	case RDNSStatic:
+		return fmt.Sprintf("srv%d.%s", u.hash(0x5d6, addr)%100000, as.Domain)
+	default:
+		return ""
+	}
+}
+
+// TestReverseDNSMatchesReference holds ReverseDNS to the fmt reference
+// over addresses of every AS, so every rDNS style and AS class, and over
+// addresses no AS owns.
+func TestReverseDNSMatchesReference(t *testing.T) {
+	u := NewInternet2017(7)
+	styles := map[RDNSStyle]bool{}
+	classes := map[ServiceClass]bool{}
+	addrs := []wire.Addr{wire.MustParseAddr("8.8.8.8"), wire.MustParseAddr("0.0.0.0"), wire.MustParseAddr("255.255.255.255")}
+	for _, as := range u.ASes {
+		styles[as.RDNS], classes[as.Class] = true, true
+		for _, p := range as.Prefixes {
+			step := max(p.Size()/100, 1)
+			for i := uint64(0); i < p.Size(); i += step {
+				addrs = append(addrs, p.Nth(i))
+			}
+		}
+	}
+	if len(styles) != 3 || len(classes) != 7 || len(addrs) < 1000 {
+		t.Fatalf("table covers %d rDNS styles, %d AS classes and %d addresses; want 3, 7 and at least 1000", len(styles), len(classes), len(addrs))
+	}
+	for _, addr := range addrs {
+		if got, want := u.ReverseDNS(addr), referenceReverseDNS(u, addr); got != want {
+			t.Fatalf("ReverseDNS(%s) = %q, want %q", addr, got, want)
+		}
+	}
+}
+
+// TestNetworksShareUniverseConcurrently: every shard's simulator
+// materialises its hosts from one Universe on a goroutine of its own.
+// Two networks probing the same hosts at once must see the same
+// results and reap every host they built; under -race, any state a
+// host kept in the Universe would show as a race.
+func TestNetworksShareUniverseConcurrently(t *testing.T) {
+	u := NewInternet2017(3)
+	var specs []*HostSpec
+	for _, p := range u.Prefixes() {
+		for i := uint64(0); i < p.Size() && i < 16; i++ {
+			if s := u.HostAt(p.Nth(i)); s != nil {
+				specs = append(specs, s)
+			}
+		}
+	}
+	scan := func() ([]string, int) {
+		n := netsim.New(1)
+		n.SetFactory(u)
+		n.SetPath(netsim.PathParams{Delay: 10 * netsim.Millisecond})
+		sc := core.NewScanner(n, oracleScannerAddr, core.Config{Seed: 1})
+		out := make([]string, 2*len(specs))
+		for i, s := range specs {
+			for j, port := range []uint16{80, 443} {
+				if !s.ServiceLive(port) {
+					continue
+				}
+				strat := core.StrategyHTTP
+				if port == 443 {
+					strat = core.StrategyTLS
+				}
+				sc.ProbeTarget(s.Addr, core.TargetConfig{Strategy: strat, Port: port, MSSList: []int{64}},
+					func(tr *core.TargetResult) {
+						out[2*i+j] = fmt.Sprintf("%s iw=%d lb=%d", tr.Outcome, tr.IW, tr.LowerBound)
+					})
+			}
+		}
+		n.RunUntilIdle()
+		return out, n.NodeCount()
+	}
+	var results [2][]string
+	var nodes [2]int
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], nodes[i] = scan()
+		}()
+	}
+	wg.Wait()
+	for i := range results[0] {
+		if results[0][i] != results[1][i] {
+			t.Fatalf("%s: the two networks disagree: %q vs %q", specs[i/2].Addr, results[0][i], results[1][i])
+		}
+	}
+	if nodes != [2]int{1, 1} {
+		t.Fatalf("nodes left registered: %v, want only each scanner", nodes)
+	}
+	if len(specs) < 50 {
+		t.Fatalf("only %d live hosts probed", len(specs))
 	}
 }
 

@@ -2,36 +2,50 @@ package inet
 
 import (
 	"fmt"
+	"strconv"
 
 	"iwscan/internal/wire"
+)
+
+// Keywords of the rDNS names that encode the customer IP.
+var (
+	accessKeywords = [...]string{"customer", "dyn", "dialin"}
+	infraKeywords  = [...]string{"static", "node", "core"}
 )
 
 // ReverseDNS synthesizes the PTR record for addr, or "" when the AS
 // publishes none. Access networks encode the customer IP and an access
 // keyword (the classification signals of §4.3); server networks use
-// static names.
+// static names. Each name is built in a stack buffer, so the returned
+// string is its only allocation.
 func (u *Universe) ReverseDNS(addr wire.Addr) string {
 	as := u.ASOf(addr)
 	if as == nil {
 		return ""
 	}
-	a, b, c, d := byte(addr>>24), byte(addr>>16), byte(addr>>8), byte(addr)
+	var buf [96]byte
+	b := buf[:0]
 	switch as.RDNS {
 	case RDNSAccessIP:
 		// Access networks name customer lines; ISP backbones encode the
 		// IP too but with infrastructure labels, which the §4.3 keyword
 		// list deliberately does not match.
-		kws := []string{"customer", "dyn", "dialin"}
+		kws := &accessKeywords
 		if as.Class != ClassAccess {
-			kws = []string{"static", "node", "core"}
+			kws = &infraKeywords
 		}
-		kw := kws[u.hash(0x5d5, addr)%3]
-		return fmt.Sprintf("%d-%d-%d-%d.%s.%s", a, b, c, d, kw, as.Domain)
+		for shift := 24; shift >= 0; shift -= 8 {
+			b = strconv.AppendUint(b, uint64(byte(addr>>shift)), 10)
+			b = append(b, '-')
+		}
+		b[len(b)-1] = '.'
+		b = append(b, kws[u.hash(0x5d5, addr)%3]...)
 	case RDNSStatic:
-		return fmt.Sprintf("srv%d.%s", u.hash(0x5d6, addr)%100000, as.Domain)
+		b = strconv.AppendUint(append(b, "srv"...), u.hash(0x5d6, addr)%100000, 10)
 	default:
 		return ""
 	}
+	return string(append(append(b, '.'), as.Domain...))
 }
 
 // PopularHost is one entry of the synthetic Alexa-style list: a popular

@@ -1,7 +1,7 @@
 package inet
 
 import (
-	"fmt"
+	"strconv"
 
 	"iwscan/internal/httpsim"
 	"iwscan/internal/netsim"
@@ -115,9 +115,20 @@ func (h *HostSpec) ExpectedIWSegments(port uint16, announcedMSS int) int {
 
 // HostAt derives the host at addr, or nil when the address is dark.
 func (u *Universe) HostAt(addr wire.Addr) *HostSpec {
+	var spec HostSpec
+	if !u.hostAt(addr, &spec) {
+		return nil
+	}
+	h := spec // only a live host's spec is copied to the heap
+	return &h
+}
+
+// hostAt fills h with the host at addr and reports whether there is
+// one; it is false, and h untouched, when the address is dark.
+func (u *Universe) hostAt(addr wire.Addr, h *HostSpec) bool {
 	as := u.ASOf(addr)
 	if as == nil {
-		return nil
+		return false
 	}
 	// Role: carve [0,1) into [both][http-only][tls-only][dark].
 	r := u.hashFloat(saltRole, addr)
@@ -125,9 +136,9 @@ func (u *Universe) HostAt(addr wire.Addr) *HostSpec {
 	httpLive := both || (r >= as.BothFrac && r < as.HTTPDensity)
 	tlsLive := both || (r >= as.HTTPDensity && r < as.HTTPDensity+as.TLSDensity-as.BothFrac)
 	if !httpLive && !tlsLive {
-		return nil
+		return false
 	}
-	h := &HostSpec{Addr: addr, AS: as, HTTPLive: httpLive, TLSLive: tlsLive}
+	*h = HostSpec{Addr: addr, AS: as, HTTPLive: httpLive, TLSLive: tlsLive}
 
 	// TCP stack.
 	switch as.Stack.SampleHash(u.hash(saltStack, addr)) {
@@ -175,7 +186,7 @@ func (u *Universe) HostAt(addr wire.Addr) *HostSpec {
 		h.TLSProfile = as.TLSProfile.SampleHash(u.hash(saltTLSProfile, addr))
 		h.TLSCfg = u.tlsConfig(addr, h.TLSProfile)
 	}
-	return h
+	return true
 }
 
 // iwPolicy converts an IW label into a tcpstack policy.
@@ -225,7 +236,9 @@ func (u *Universe) httpConfig(addr wire.Addr, label int) httpsim.ServerConfig {
 		cfg.PageLen = sizeIn(16000, 64000)
 	case label == HTTPRedirect:
 		cfg.Root = httpsim.BehaviorRedirect
-		cfg.RedirectHost = fmt.Sprintf("www.h%d.%s", uint32(addr)&0xffff, u.ASOf(addr).Domain)
+		var b [64]byte
+		name := strconv.AppendUint(append(b[:0], "www.h"...), uint64(addr&0xffff), 10)
+		cfg.RedirectHost = string(append(append(name, '.'), u.ASOf(addr).Domain...))
 		cfg.RedirectPath = "/site/index.html"
 		cfg.PageLen = sizeIn(2000, 16000)
 	case label == HTTPErrEcho:
@@ -269,27 +282,43 @@ func (u *Universe) tlsConfig(addr wire.Addr, label int) tlssim.ServerConfig {
 	return cfg
 }
 
-// CreateHost implements netsim.HostFactory.
+// CreateHost implements netsim.HostFactory. The node it returns is a
+// *tcpstack.Host.
 func (u *Universe) CreateHost(n *netsim.Network, addr wire.Addr) netsim.Node {
-	spec := u.HostAt(addr)
-	if spec == nil {
+	var spec HostSpec
+	if !u.hostAt(addr, &spec) {
 		return nil
 	}
-	return u.materialize(n, spec)
+	return u.materialize(n, &spec)
+}
+
+// liveHost is a materialised host: its stack and both servers, whether
+// or not the host serves both, in one allocation.
+type liveHost struct {
+	tcp  tcpstack.Host
+	http httpsim.Server
+	tls  tlssim.Server
 }
 
 // materialize builds the live tcpstack host for a spec.
 func (u *Universe) materialize(n *netsim.Network, spec *HostSpec) *tcpstack.Host {
-	host := tcpstack.NewHost(n, spec.Addr, spec.Stack)
+	lh := new(liveHost)
+	lh.tcp.Init(n, spec.Addr, spec.Stack)
 	if spec.HTTPLive {
-		host.ListenIW(80, httpsim.NewServer(spec.HTTPCfg), spec.HTTPIW)
+		lh.http.Init(spec.HTTPCfg)
+		lh.tcp.ListenIW(80, &lh.http, spec.HTTPIW)
 	}
 	if spec.TLSLive {
-		host.ListenIW(443, tlssim.NewServer(spec.TLSCfg), spec.TLSIW)
+		lh.tls.Init(spec.TLSCfg)
+		lh.tcp.ListenIW(443, &lh.tls, spec.TLSIW)
 	}
-	host.SetIdleFunc(func(h *tcpstack.Host) { n.Unregister(spec.Addr) })
-	return host
+	lh.tcp.SetIdleFunc(reap)
+	return &lh.tcp
 }
+
+// reap unregisters a host whose last connection closed; the next packet
+// to its address materialises it afresh.
+func reap(h *tcpstack.Host) { h.Network().Unregister(h.Addr()) }
 
 // CountHosts walks the whole universe and reports live host counts; it
 // is O(address space) and meant for tests and reports.

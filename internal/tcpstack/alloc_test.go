@@ -60,25 +60,26 @@ func (d *handClient) exchange(request []byte) {
 }
 
 // TestExchangeAllocBudget pins what one connection costs a host that is
-// already up and has answered before: a stated number of allocations —
-// the Conn and its session; its retransmission, idle and flush timers
-// live inside the Conn and re-arm for free — and nothing in proportion
-// to the response. The response was rendered by the first
-// connection; every later one is handed the same bytes, and Conn.Write
-// takes them without a copy.
+// already up and has answered before: a stated number of allocations,
+// and nothing in proportion to the response. The connection takes the
+// host's own Conn and the server's own session, both free again since
+// the previous connection closed; its retransmission, idle and flush
+// timers live inside the Conn and re-arm for free. The response was
+// rendered by the first connection; every later one is handed the same
+// bytes, and Conn.Write takes them without a copy.
 func TestExchangeAllocBudget(t *testing.T) {
 	const pageLen = 20000 // the response both listeners give, give or take headers
 	for _, tc := range []struct {
 		name        string
-		allocBudget float64 // measured 2 and 7 (TLS decodes the hello into a ClientHello), plus one of slack: MemStats counts the whole process
+		allocBudget float64 // measured 0 and 5 (TLS decodes the hello into a ClientHello), plus one of slack: MemStats counts the whole process
 		port        uint16
 		app         tcpstack.App
 		request     []byte
 	}{
-		{"http", 3, 80,
+		{"http", 1, 80,
 			httpsim.NewServer(httpsim.ServerConfig{PageLen: pageLen, Seed: 1}),
 			httpsim.BuildRequest("/", "198.51.100.10", "Connection", "close", "Accept", "*/*")},
-		{"tls", 8, 443,
+		{"tls", 6, 443,
 			tlssim.NewServer(tlssim.ServerConfig{ChainLen: pageLen, OCSPStaple: true, Seed: 1}),
 			tlssim.BuildClientHello(stats.NewRNG(1), "")},
 	} {

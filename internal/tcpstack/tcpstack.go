@@ -25,6 +25,7 @@ package tcpstack
 
 import (
 	"fmt"
+	"slices"
 
 	"iwscan/internal/netsim"
 	"iwscan/internal/wire"
@@ -155,52 +156,87 @@ type Counters struct {
 }
 
 // Host is a simulated TCP endpoint bound to one IPv4 address.
+//
+// A host holds its listeners and connections in short slices searched
+// linearly, backed by arrays inside the host, and carries one Conn of
+// its own that every connection takes while it is free. A host serving
+// one connection at a time, the scanner's pattern, therefore allocates
+// nothing to accept one.
 type Host struct {
 	net       *netsim.Network
 	addr      wire.Addr
 	cfg       Config
-	listeners map[uint16]listener
-	conns     map[connKey]*Conn
+	listeners []listener
+	conns     []*Conn
 	onIdle    func(h *Host)
 	stats     Counters
 	ipid      uint16
+
+	listenBuf [2]listener
+	connBuf   [2]*Conn
+	slot      Conn // reused once its previous connection is closed
 }
 
-// listener binds an app to a port, optionally overriding the host's IW
-// policy for connections to that port (services on one IP can run with
+// listener binds an app to a port with the IW policy of connections to
+// that port: the host's, or its own (services on one IP can run with
 // different IW configurations, as the paper observes for 858k hosts).
 type listener struct {
-	app App
-	iw  *IWPolicy
+	port uint16
+	app  App
+	iw   IWPolicy
 }
 
 // NewHost creates a host at addr with the given stack configuration and
 // registers it with the network.
 func NewHost(n *netsim.Network, addr wire.Addr, cfg Config) *Host {
-	h := &Host{
-		net:       n,
-		addr:      addr,
-		cfg:       cfg.withDefaults(),
-		listeners: make(map[uint16]listener),
-		conns:     make(map[connKey]*Conn),
-	}
-	n.Register(addr, h)
+	h := new(Host)
+	h.Init(n, addr, cfg)
 	return h
+}
+
+// Init sets up the zero Host h in place, as NewHost does, so that a
+// host can live inside a larger value.
+func (h *Host) Init(n *netsim.Network, addr wire.Addr, cfg Config) {
+	h.net, h.addr, h.cfg = n, addr, cfg.withDefaults()
+	h.listeners = h.listenBuf[:0]
+	h.conns = h.connBuf[:0]
+	n.Register(addr, h)
 }
 
 // Addr returns the host's address.
 func (h *Host) Addr() wire.Addr { return h.addr }
 
+// Network returns the network the host is registered with.
+func (h *Host) Network() *netsim.Network { return h.net }
+
 // Stats returns a snapshot of the host's TCP counters.
 func (h *Host) Stats() Counters { return h.stats }
 
 // Listen binds app to a local TCP port.
-func (h *Host) Listen(port uint16, app App) { h.listeners[port] = listener{app: app} }
+func (h *Host) Listen(port uint16, app App) { h.listen(listener{port: port, app: app, iw: h.cfg.IW}) }
 
 // ListenIW binds app to a port with its own IW policy, overriding the
 // host-wide configuration for connections to that port.
 func (h *Host) ListenIW(port uint16, app App, iw IWPolicy) {
-	h.listeners[port] = listener{app: app, iw: &iw}
+	h.listen(listener{port: port, app: app, iw: iw})
+}
+
+// listen binds l, replacing any listener on the same port.
+func (h *Host) listen(l listener) {
+	if old := h.listener(l.port); old != nil {
+		*old = l
+		return
+	}
+	h.listeners = append(h.listeners, l)
+}
+
+func (h *Host) listener(port uint16) *listener {
+	for i := range h.listeners {
+		if h.listeners[i].port == port {
+			return &h.listeners[i]
+		}
+	}
+	return nil
 }
 
 // SetIdleFunc installs a callback invoked whenever the host's last
@@ -254,14 +290,16 @@ func (h *Host) handleTCP(ip *wire.IPv4Header, payload []byte) {
 		return
 	}
 	key := connKey{peer: ip.Src, peerPort: tcp.SrcPort, localPort: tcp.DstPort}
-	if c, ok := h.conns[key]; ok {
-		c.handleSegment(&tcp, data)
-		return
+	for _, c := range h.conns {
+		if c.key == key {
+			c.handleSegment(&tcp, data)
+			return
+		}
 	}
 	// No connection. A SYN to a listening port opens one; everything
 	// else (except RSTs) gets a RST.
 	if tcp.HasFlag(wire.FlagSYN) && !tcp.HasFlag(wire.FlagACK) {
-		if l, ok := h.listeners[tcp.DstPort]; ok {
+		if l := h.listener(tcp.DstPort); l != nil {
 			h.accept(key, l, &tcp)
 			return
 		}
@@ -271,9 +309,16 @@ func (h *Host) handleTCP(ip *wire.IPv4Header, payload []byte) {
 	}
 }
 
-func (h *Host) accept(key connKey, l listener, syn *wire.TCPHeader) {
+// accept opens a connection in the host's own Conn when that is free
+// (never used, or its connection closed, which disarmed its timers) and
+// in a new one otherwise.
+func (h *Host) accept(key connKey, l *listener, syn *wire.TCPHeader) {
 	effMSS := h.cfg.MSS.Effective(int(syn.MSS), h.cfg.LocalMSS)
-	c := &Conn{
+	c := &h.slot
+	if c.host != nil && c.state != stateClosed {
+		c = new(Conn)
+	}
+	*c = Conn{
 		host:    h,
 		key:     key,
 		app:     l.app,
@@ -291,7 +336,7 @@ func (h *Host) accept(key connKey, l listener, syn *wire.TCPHeader) {
 	c.retx.Bind(h.net, func(a any) { a.(*Conn).onRetxTimeout() }, c)
 	c.idle.Bind(h.net, func(a any) { a.(*Conn).onIdle() }, c)
 	c.flush.Bind(h.net, func(a any) { a.(*Conn).trySend() }, c)
-	h.conns[key] = c
+	h.conns = append(h.conns, c)
 	h.stats.Accepted++
 	c.sendSynAck()
 	c.retx.Arm(c.rto)
@@ -355,10 +400,11 @@ func (h *Host) sendIP(dst wire.Addr, proto byte, payload []byte, df bool) {
 }
 
 func (h *Host) removeConn(c *Conn) {
-	if _, ok := h.conns[c.key]; !ok {
+	i := slices.Index(h.conns, c)
+	if i < 0 {
 		return
 	}
-	delete(h.conns, c.key)
+	h.conns = slices.Delete(h.conns, i, i+1)
 	if len(h.conns) == 0 && h.onIdle != nil {
 		h.onIdle(h)
 	}
@@ -394,12 +440,14 @@ func (s connState) String() string {
 	}
 }
 
-// Conn is one server-side TCP connection.
+// Conn is one server-side TCP connection. It is valid until it closes:
+// the host may then reuse its storage for a later connection, so an app
+// must not call a Conn that has closed (Closed reports it).
 type Conn struct {
 	host    *Host
 	key     connKey
 	app     App
-	iw      *IWPolicy // per-listener override, nil = host default
+	iw      IWPolicy // the listener's
 	session Session
 	state   connState
 
@@ -441,6 +489,10 @@ func (c *Conn) EffMSS() int { return c.effMSS }
 
 // State returns a human-readable connection state (for tracing).
 func (c *Conn) State() string { return c.state.String() }
+
+// Closed reports whether the connection has been torn down. A closed
+// Conn never calls its session again.
+func (c *Conn) Closed() bool { return c.state == stateClosed }
 
 // Write queues application data for transmission. Transmission happens
 // on a zero-delay flush event, so a Write immediately followed by Close
@@ -506,6 +558,7 @@ func (c *Conn) destroy(completed bool) {
 	c.state = stateClosed
 	c.retx.Cancel()
 	c.idle.Cancel()
+	c.flush.Cancel()
 	if completed {
 		c.host.stats.ConnsCompleted++
 	} else {
@@ -595,11 +648,7 @@ func (c *Conn) establish(tcp *wire.TCPHeader) {
 	c.state = stateEstablished
 	c.sndUna = tcp.Ack
 	c.peerWnd = int(tcp.Window)
-	iw := c.host.cfg.IW
-	if c.iw != nil {
-		iw = *c.iw
-	}
-	c.cwnd = iw.IW(c.effMSS)
+	c.cwnd = c.iw.IW(c.effMSS)
 	c.note("tcp.established", int64(c.effMSS), int64(c.cwnd))
 	c.retx.Cancel()
 	c.retries = 0

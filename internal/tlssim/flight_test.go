@@ -130,3 +130,60 @@ func TestFlightRecordBoundary(t *testing.T) {
 		t.Fatalf("16323-byte chain: flight is %d bytes, want a full record and a one-byte one (%d)", len(two), 5+MaxRecordLen+5+1)
 	}
 }
+
+// sessionTap hands the test the session a connection was given, so it
+// can feed that session data in pieces no client would send.
+type sessionTap struct {
+	app  tcpstack.App
+	last tcpstack.Session
+}
+
+func (a *sessionTap) NewSession(c *tcpstack.Conn) tcpstack.Session {
+	a.last = a.app.NewSession(c)
+	return a.last
+}
+
+// TestSplitHelloBesideSecondConnection: a hello that arrives in two
+// pieces keeps its session while a second connection opens and is
+// answered in between. The second connection must get a session of its
+// own, not the server's one session the first still holds, and each
+// connection must get the flight for the suite it offered.
+func TestSplitHelloBesideSecondConnection(t *testing.T) {
+	client, server := wire.MustParseAddr("192.0.2.1"), wire.MustParseAddr("198.51.100.10")
+	cfg := ServerConfig{ChainLen: 2000, Seed: 4}
+	first, second := hello([]uint16{0x002f}, false), hello([]uint16{0xc02f}, false)
+
+	n := netsim.New(1)
+	host := tcpstack.NewHost(n, server, tcpstack.Config{IW: tcpstack.IWPolicy{Segments: 10}})
+	tap := &sessionTap{app: NewServer(cfg)}
+	host.Listen(443, tap)
+	cl := tcpstack.NewClient(n, client, tcpstack.ClientConfig{})
+	got := make([][]byte, 2)
+	connect := func(i int, request []byte) {
+		cl.Connect(server, 443, request, tcpstack.ClientEvents{
+			OnData: func(_ *tcpstack.ClientConn, data []byte) { got[i] = append(got[i], data...) },
+		})
+	}
+
+	connect(0, nil)
+	n.Run(netsim.Second) // handshake done, no hello yet
+	one := tap.last
+	one.OnData(first[:len(first)/2])
+
+	connect(1, second)
+	n.Run(2 * netsim.Second)
+	if tap.last == one {
+		t.Fatal("the second connection was handed the session the first still holds")
+	}
+	if len(got[1]) == 0 {
+		t.Fatal("the second connection was not answered while the first waited")
+	}
+
+	one.OnData(first[len(first)/2:])
+	n.RunUntilIdle()
+	for i, suite := range []uint16{0x002f, 0xc02f} {
+		if want := referenceFlight(cfg, suite, false); !bytes.Equal(got[i], want) {
+			t.Errorf("connection %d: got %d bytes, want the %d-byte flight for suite %#04x", i+1, len(got[i]), len(want), suite)
+		}
+	}
+}

@@ -52,9 +52,13 @@ type ServerConfig struct {
 // ownership" in DESIGN.md). The memo is not synchronised: a Server
 // belongs to the one tcpstack.Host it listens on, hence to one
 // netsim.Network and its one goroutine, and lives as long as that host.
+//
+// A Server also carries one session, which each connection takes while
+// the connection it last served is closed.
 type Server struct {
 	cfg     ServerConfig
 	flights []flight
+	session serverSession
 }
 
 // flight is one memoised first flight.
@@ -66,15 +70,30 @@ type flight struct {
 
 // NewServer returns a TLS server app with the given behaviour.
 func NewServer(cfg ServerConfig) *Server {
+	s := new(Server)
+	s.Init(cfg)
+	return s
+}
+
+// Init sets up s in place, as NewServer does, so that a server can live
+// inside a larger value.
+func (s *Server) Init(cfg ServerConfig) {
 	if cfg.OCSPLen == 0 {
 		cfg.OCSPLen = 1500
 	}
-	return &Server{cfg: cfg}
+	*s = Server{cfg: cfg}
 }
 
-// NewSession implements tcpstack.App.
+// NewSession implements tcpstack.App. It hands out the server's own
+// session unless that still serves an open connection, which is then a
+// different one: the host reuses a Conn only once it has closed.
 func (s *Server) NewSession(c *tcpstack.Conn) tcpstack.Session {
-	return &serverSession{srv: s, conn: c}
+	ss := &s.session
+	if ss.conn != nil && ss.conn != c && !ss.conn.Closed() {
+		ss = new(serverSession)
+	}
+	*ss = serverSession{srv: s, conn: c, buf: ss.buf[:0]}
+	return ss
 }
 
 type serverSession struct {
