@@ -56,12 +56,12 @@
 //	iwscan -sample 0.5 -out big.csv -checkpoint big.ck -time-limit 1h  # stop early...
 //	iwscan -sample 0.5 -out big.csv -resume big.ck            # ...and pick up where it left off
 //
-// A resumed scan cuts -out back to the length the checkpoint recorded
-// (dropping records a crash left after it) and appends from there, so
-// the file ends up holding exactly the record stream an uninterrupted
-// scan would have written. The
-// checkpoint's fingerprint guards against resuming with a different
-// seed, strategy, sample fraction or blacklist.
+// A resumed scan cuts -out and -telemetry-out back to the lengths the
+// checkpoint recorded (dropping what a crash left after it) and appends
+// from there, so -out ends up holding exactly the record stream an
+// uninterrupted scan would have written, and -telemetry-out one stream
+// on one clock. The checkpoint's fingerprint guards against resuming
+// with a different seed, strategy, sample fraction or blacklist.
 package main
 
 import (
@@ -129,7 +129,7 @@ func main() {
 		debugAddr    = flag.String("debug-addr", "", "serve a live debug endpoint on this address (pprof, expvar, /metrics, /flight, /timeseries, /dash)")
 		tailLoss     = flag.Float64("tail-loss", 0, "deterministic bursty tail-loss probability (drops trailing short segments)")
 		reorderP     = flag.Float64("reorder", 0, "per-packet reordering probability on the path")
-		telemOut     = flag.String("telemetry-out", "", "stream time-series telemetry to this file (JSONL, one line per interval sample or anomaly; appends under -resume)")
+		telemOut     = flag.String("telemetry-out", "", "stream time-series telemetry to this file (JSONL, one line per interval sample or anomaly; spliced at the checkpoint under -resume)")
 		telemIv      = flag.Duration("telemetry-interval", 0, "virtual-time cadence between telemetry samples (0 = 100ms default)")
 
 		smartModel   = flag.String("smart-model", "", "responsiveness model file (IWSM1) enabling topology-aware -smart scanning; train it with -smart-update")
@@ -327,20 +327,24 @@ func main() {
 	// implicitly whenever the debug endpoint is up, so /timeseries and
 	// /dash have data to serve.
 	var ts *timeseries.Store
-	var telemFile *os.File
+	var telemFile *output.SplicedFile
 	if *alexa == 0 && (*telemOut != "" || *telemIv > 0 || dbg != nil) {
 		ts = timeseries.NewStore(timeseries.Config{Interval: netsim.Time(*telemIv)})
 		if *telemOut != "" {
-			tflags := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
-			if *resume != "" {
-				tflags = os.O_WRONLY | os.O_CREATE | os.O_APPEND // stream stays valid across resumes
+			// Spliced like -out: a stream (/dev/null, a pipe) is only
+			// appended to, so only a regular file needs a recorded length.
+			at := int64(0)
+			if resumeSt != nil {
+				if resumeSt.TelemetryBytes != nil {
+					at = *resumeSt.TelemetryBytes
+				} else if fi, err := os.Stat(*telemOut); err == nil && fi.Mode().IsRegular() {
+					fatalf("-resume %s: %v", *resume, checkpoint.ErrNoTelemetryBytes)
+				}
 			}
-			f, err := os.OpenFile(*telemOut, tflags, 0o644)
-			if err != nil {
+			if telemFile, err = output.OpenSplicedFile(*telemOut, at); err != nil {
 				fatalf("-telemetry-out: %v", err)
 			}
-			telemFile = f
-			ts.StreamJSONL(f)
+			ts.StreamJSONL(telemFile)
 		}
 	}
 

@@ -88,9 +88,11 @@ func TestCLIRejectsFlagConflicts(t *testing.T) {
 
 // TestCLIResumeSplicesCrashTail is the crash-resume gate: a scan killed
 // between two checkpoints leaves records past the last checkpoint's
-// output_bytes in -out, the final one torn. -resume must cut them and
-// continue, so the file ends byte-identical to an uninterrupted run's in
-// every output format.
+// output_bytes in -out, and telemetry lines past its telemetry_bytes in
+// -telemetry-out, the final one of each torn. -resume must cut both and
+// continue, so -out ends byte-identical to an uninterrupted run's in
+// every output format and -telemetry-out reads as one stream on one
+// clock.
 func TestCLIResumeSplicesCrashTail(t *testing.T) {
 	t.Parallel()
 	for _, format := range []string{"csv", "jsonl", "bin"} {
@@ -98,16 +100,21 @@ func TestCLIResumeSplicesCrashTail(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
 			ref, out, ck := filepath.Join(dir, "ref"), filepath.Join(dir, "out"), filepath.Join(dir, "scan.ck")
+			refTel, tel := filepath.Join(dir, "ref.jsonl"), filepath.Join(dir, "tel.jsonl")
 			scan := func(extra ...string) []string {
 				return append([]string{"-sample", "0.004", "-seed", "5", "-rate", "100", "-format", format, "-q"}, extra...)
 			}
-			iwscan(t, scan("-out", ref)...)
-			iwscan(t, scan("-out", out, "-checkpoint", ck, "-time-limit", "12s")...)
+			iwscan(t, scan("-out", ref, "-telemetry-out", refTel)...)
+			iwscan(t, scan("-out", out, "-telemetry-out", tel, "-checkpoint", ck, "-time-limit", "12s")...)
 			want, err := os.ReadFile(ref)
 			if err != nil {
 				t.Fatal(err)
 			}
 			seg, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			telSeg, err := os.ReadFile(tel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,6 +125,9 @@ func TestCLIResumeSplicesCrashTail(t *testing.T) {
 			if st.OutputBytes == nil || *st.OutputBytes != int64(len(seg)) {
 				t.Fatalf("checkpoint output_bytes = %v, want the file's %d bytes", st.OutputBytes, len(seg))
 			}
+			if st.TelemetryBytes == nil || *st.TelemetryBytes != int64(len(telSeg)) {
+				t.Fatalf("checkpoint telemetry_bytes = %v, want the file's %d bytes", st.TelemetryBytes, len(telSeg))
+			}
 			// The crash tail: the next records an uninterrupted run
 			// writes, cut off mid-record.
 			const tail = 1000
@@ -127,7 +137,23 @@ func TestCLIResumeSplicesCrashTail(t *testing.T) {
 			if err := os.WriteFile(out, want[:len(seg)+tail], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			iwscan(t, scan("-out", out, "-resume", ck)...)
+			// The telemetry crash tail: the uninterrupted run's next
+			// lines, the last one cut in half.
+			refLines, err := os.ReadFile(refTel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := bytes.SplitAfter(refLines, []byte("\n"))
+			kept := bytes.Count(telSeg, []byte("\n"))
+			if len(lines) < kept+4 {
+				t.Fatalf("reference telemetry has %d lines, want more than the segment's %d", len(lines), kept)
+			}
+			telTail := bytes.Join(lines[kept:kept+3], nil)
+			telTail = append(telTail, lines[kept+3][:len(lines[kept+3])/2]...)
+			if err := os.WriteFile(tel, append(telSeg, telTail...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			iwscan(t, scan("-out", out, "-telemetry-out", tel, "-resume", ck)...)
 			got, err := os.ReadFile(out)
 			if err != nil {
 				t.Fatal(err)
@@ -138,7 +164,58 @@ func TestCLIResumeSplicesCrashTail(t *testing.T) {
 			if _, err := output.ReadRecordsFile(out); err != nil {
 				t.Fatal(err)
 			}
+
+			f, err := os.Open(tel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			samples, anomalies, err := timeseries.ReadJSONL(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := timeseries.VerifyStream(samples, anomalies, 1, false); err != nil {
+				t.Fatal(err)
+			}
+			seen := make(map[[2]uint64]bool)
+			for i, s := range samples {
+				key := [2]uint64{uint64(s.Shard), s.Index}
+				if seen[key] {
+					t.Fatalf("shard %d index %d appears twice", s.Shard, s.Index)
+				}
+				seen[key] = true
+				// The segment stopped at its time limit and the resume
+				// took over there: one clock, no gap, no overlap.
+				if i > 0 && s.StartNS != samples[i-1].EndNS {
+					t.Fatalf("sample %d starts at %d, the previous ended at %d", i, s.StartNS, samples[i-1].EndNS)
+				}
+			}
 		})
+	}
+}
+
+// TestCLIResumeRefusesUnsplicedTelemetry: a checkpoint written without
+// -telemetry-out records no telemetry length, so a resume that names an
+// existing regular file as -telemetry-out is refused by name and leaves
+// the file as it was.
+func TestCLIResumeRefusesUnsplicedTelemetry(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	out, ck, tel := filepath.Join(dir, "out.csv"), filepath.Join(dir, "scan.ck"), filepath.Join(dir, "tel.jsonl")
+	scan := []string{"-sample", "0.004", "-seed", "5", "-rate", "100", "-q", "-out", out}
+	iwscan(t, append(scan, "-checkpoint", ck, "-time-limit", "2s")...)
+	const before = "{\"type\":\"sample\"}\n"
+	if err := os.WriteFile(tel, []byte(before), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], append(scan, "-resume", ck, "-telemetry-out", tel)...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	msg, err := cmd.CombinedOutput()
+	if err == nil || !strings.Contains(string(msg), checkpoint.ErrNoTelemetryBytes.Error()) {
+		t.Fatalf("resume: err = %v, output %q; want a refusal naming telemetry_bytes", err, msg)
+	}
+	if got, _ := os.ReadFile(tel); string(got) != before {
+		t.Fatalf("the refused resume rewrote -telemetry-out: %q", got)
 	}
 }
 

@@ -29,6 +29,9 @@ const Version = 1
 // output file's length: appending blindly would duplicate records.
 var ErrNoOutputBytes = errors.New("checkpoint: no output_bytes recorded, so the output file cannot be spliced")
 
+// ErrNoTelemetryBytes is ErrNoOutputBytes for the telemetry stream.
+var ErrNoTelemetryBytes = errors.New("checkpoint: no telemetry_bytes recorded, so the telemetry file cannot be spliced")
+
 // ShardState is one shard's resume point plus its reporting counters.
 type ShardState struct {
 	// Shard / Shards identify the slice of the scan this cursor belongs
@@ -55,14 +58,16 @@ type State struct {
 	// Completed marks a checkpoint written after the scan finished;
 	// resuming from it is a no-op scan.
 	Completed bool `json:"completed"`
-	// VirtualNS is the virtual-time clock (ns) when the checkpoint was
-	// taken.
+	// VirtualNS is the scan's virtual-time clock (ns) when the
+	// checkpoint was taken, cumulative over every resumed segment.
 	VirtualNS int64 `json:"virtual_ns"`
 	// OutputBytes is the byte length of the scan's output file when the
 	// checkpoint was taken — the point a resume splices at, cutting any
 	// tail written after it. Nil when the output had no known length
 	// (a stream) and in checkpoints written before it was recorded.
 	OutputBytes *int64 `json:"output_bytes,omitempty"`
+	// TelemetryBytes is OutputBytes for the telemetry stream.
+	TelemetryBytes *int64 `json:"telemetry_bytes,omitempty"`
 	// Shards holds one cursor per engine instance; a single-process
 	// scan has exactly one entry.
 	Shards []ShardState `json:"shards"`

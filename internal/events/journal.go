@@ -1,7 +1,6 @@
 package events
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"iwscan/internal/checkpoint"
+	"iwscan/internal/output"
 )
 
 // Journal file layout inside the events directory.
@@ -376,46 +376,27 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// Decode parses journal bytes, tolerating a torn (unterminated or
-// half-written) final line. It returns the decoded events, the byte
-// length of the clean prefix (complete, parseable, newline-terminated
-// lines), and an error only for real corruption: an unparseable
-// complete line, or a sequence break between consecutive events.
+// Decode parses journal bytes through output.ReadLines, tolerating a
+// torn final line. It returns the decoded events, the byte length of
+// the clean prefix, and an error only for real corruption: an
+// unparseable line before the tail, a missing seq, or a sequence break
+// between consecutive events.
 func Decode(data []byte) (evs []Event, clean int, err error) {
-	off := 0
-	lineNo := 0
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			// Unterminated tail: torn, not corrupt.
-			return evs, off, nil
-		}
-		line := data[off : off+nl]
-		lineNo++
-		if len(bytes.TrimSpace(line)) == 0 {
-			off += nl + 1
-			continue
-		}
+	clean, err = output.ReadLines(data, func(line []byte) error {
 		var ev Event
-		if uerr := json.Unmarshal(line, &ev); uerr != nil {
-			if off+nl+1 >= len(data) {
-				// A terminated but unparseable final line is still a
-				// torn tail (crash between payload and fsync).
-				return evs, off, nil
-			}
-			return evs, off, fmt.Errorf("line %d: %v", lineNo, uerr)
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return err
 		}
 		if ev.Seq == 0 {
-			return evs, off, fmt.Errorf("line %d: missing seq", lineNo)
+			return errors.New("missing seq")
 		}
-		if len(evs) > 0 && ev.Seq != evs[len(evs)-1].Seq+1 {
-			return evs, off, fmt.Errorf("line %d: sequence break: %d follows %d",
-				lineNo, ev.Seq, evs[len(evs)-1].Seq)
+		if n := len(evs); n > 0 && ev.Seq != evs[n-1].Seq+1 {
+			return fmt.Errorf("sequence break: %d follows %d", ev.Seq, evs[n-1].Seq)
 		}
 		evs = append(evs, ev)
-		off += nl + 1
-	}
-	return evs, off, nil
+		return nil
+	})
+	return evs, clean, err
 }
 
 // ReadFile decodes a journal file with torn-tail tolerance, returning

@@ -325,6 +325,7 @@ func runScan(u *inet.Universe, cfg ScanConfig, statusLabel string) (*ScanResult,
 		Smart:          cfg.Smart,
 	}
 	startSeq := uint64(0)
+	var origin netsim.Time // virtual time the resumed segments already ran
 	if cfg.Resume != nil {
 		if err := cfg.Resume.ValidateConfig(fields); err != nil {
 			return nil, err
@@ -336,6 +337,7 @@ func runScan(u *inet.Universe, cfg ScanConfig, statusLabel string) (*ScanResult,
 		cur := shardSt.Cursor
 		engCfg.Resume = &cur
 		startSeq = cur.Seq
+		origin = netsim.Time(cfg.Resume.VirtualNS)
 	}
 
 	// Output pipeline: records are emitted through a reorder buffer so
@@ -395,7 +397,7 @@ func runScan(u *inet.Universe, cfg ScanConfig, statusLabel string) (*ScanResult,
 	// single-threaded engine and sink state on the simulation goroutine.
 	var sampler *timeseries.Sampler
 	if cfg.Timeseries != nil {
-		sampler = timeseries.Attach(n, cfg.Timeseries, int(cfg.Shard))
+		sampler = timeseries.Attach(n, cfg.Timeseries, int(cfg.Shard), origin)
 		sampler.AddProbe(func(set func(string, int64)) {
 			set("engine.frontier_lag", eng.FrontierLag())
 			set("engine.retry_queue", int64(eng.RetryQueueLen()))
@@ -409,8 +411,8 @@ func runScan(u *inet.Universe, cfg ScanConfig, statusLabel string) (*ScanResult,
 	}
 
 	// writeCheckpoint flushes the sink and captures the resume state
-	// consistent with it, saving it (with a metrics snapshot) when
-	// CheckpointPath is set.
+	// consistent with it and with the telemetry stream, saving it (with a
+	// metrics snapshot) when CheckpointPath is set.
 	writeCheckpoint := func(complete bool) (*checkpoint.State, error) {
 		if err := base.Flush(); err != nil {
 			return nil, err
@@ -421,7 +423,7 @@ func runScan(u *inet.Universe, cfg ScanConfig, statusLabel string) (*ScanResult,
 			Fingerprint: fp,
 			Config:      fields,
 			Completed:   complete,
-			VirtualNS:   int64(n.Now()),
+			VirtualNS:   int64(origin + n.Now()),
 			Shards: []checkpoint.ShardState{{
 				Shard: cfg.Shard, Shards: cfg.Shards, Cursor: eng.Cursor(),
 				Launched: st.Launched, Completed: st.Completed,
@@ -431,6 +433,11 @@ func runScan(u *inet.Universe, cfg ScanConfig, statusLabel string) (*ScanResult,
 		if sz, ok := cfg.Sink.(output.Sizer); ok {
 			if size, known := sz.Size(); known {
 				ck.OutputBytes = &size
+			}
+		}
+		if cfg.Timeseries != nil {
+			if size, known := cfg.Timeseries.StreamSize(); known {
+				ck.TelemetryBytes = &size
 			}
 		}
 		if cfg.CheckpointPath == "" {

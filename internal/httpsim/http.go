@@ -211,8 +211,6 @@ func appendHeaders(dst []byte, pairs []string) []byte {
 type ResponseHead struct {
 	StatusCode int
 	Location   string
-	Connection string
-	ContentLen int // -1 when absent or not yet seen
 	Complete   bool
 }
 
@@ -221,7 +219,7 @@ type ResponseHead struct {
 // response.
 func ParseResponseHead(b []byte) (ResponseHead, bool) {
 	const magic = "HTTP/"
-	h := ResponseHead{ContentLen: -1}
+	var h ResponseHead
 	if !bytes.HasPrefix(b, []byte(magic)) {
 		// Too short to tell is "not yet", not "not HTTP".
 		return h, len(b) < len(magic) && strings.HasPrefix(magic, string(b))
@@ -243,20 +241,8 @@ func ParseResponseHead(b []byte) (ResponseHead, bool) {
 	}
 	for len(rest) > 0 {
 		line, rest, _ = bytes.Cut(rest, headEnd[:2])
-		k, v, found := bytes.Cut(line, []byte(":"))
-		if !found {
-			continue
-		}
-		v = bytes.TrimSpace(v)
-		switch k = bytes.TrimSpace(k); {
-		case headerIs(k, "location"):
-			h.Location = string(v)
-		case headerIs(k, "connection"):
-			h.Connection = strings.ToLower(string(v))
-		case headerIs(k, "content-length"):
-			if n, err := strconv.Atoi(string(v)); err == nil {
-				h.ContentLen = n
-			}
+		if k, v, found := bytes.Cut(line, []byte(":")); found && headerIs(bytes.TrimSpace(k), "location") {
+			h.Location = string(bytes.TrimSpace(v))
 		}
 	}
 	return h, true

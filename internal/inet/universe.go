@@ -319,28 +319,3 @@ func (u *Universe) materialize(n *netsim.Network, spec *HostSpec) *tcpstack.Host
 // reap unregisters a host whose last connection closed; the next packet
 // to its address materialises it afresh.
 func reap(h *tcpstack.Host) { h.Network().Unregister(h.Addr()) }
-
-// CountHosts walks the whole universe and reports live host counts; it
-// is O(address space) and meant for tests and reports.
-func (u *Universe) CountHosts() (http, tls, both int) {
-	for _, as := range u.ASes {
-		for _, p := range as.Prefixes {
-			for i := uint64(0); i < p.Size(); i++ {
-				spec := u.HostAt(p.Nth(i))
-				if spec == nil {
-					continue
-				}
-				if spec.HTTPLive {
-					http++
-				}
-				if spec.TLSLive {
-					tls++
-				}
-				if spec.HTTPLive && spec.TLSLive {
-					both++
-				}
-			}
-		}
-	}
-	return
-}

@@ -1,11 +1,15 @@
 package jobs
 
-import "net/http"
+import (
+	"net/http"
+
+	"iwscan/internal/timeseries"
+)
 
 // The control-plane dashboard: a single self-contained page (no
 // external assets) over the same JSON/SSE endpoints API clients use —
-// /healthz, /scheduler, /events and /events/watch. Styling reuses the
-// repo's validated viz palette (see internal/timeseries/dash.go): the
+// /healthz, /scheduler, /events and /events/watch. Styling splices in
+// the repo's validated viz palette (timeseries.PaletteCSS): the
 // first four tenants, in sorted-name order, wear the fixed categorical
 // series colors and any further tenant folds into the neutral ink —
 // hues are never cycled, and identity is carried by the legend and the
@@ -22,66 +26,7 @@ const jobsDashHTML = `<!doctype html>
 <meta name="viewport" content="width=device-width, initial-scale=1">
 <title>iwserve control plane</title>
 <style>
-  .viz-root {
-    color-scheme: light;
-    --surface-1:    #fcfcfb;
-    --page:         #f9f9f7;
-    --text-primary: #0b0b0b;
-    --text-secondary:#52514e;
-    --text-muted:   #898781;
-    --grid:         #e1e0d9;
-    --baseline:     #c3c2b7;
-    --border:       rgba(11,11,11,0.10);
-    --series-1:     #2a78d6;
-    --series-2:     #eb6834;
-    --series-3:     #1baf7a;
-    --series-4:     #eda100;
-    --merged:       #52514e;
-    --status-warning:  #fab219;
-    --status-serious:  #ec835a;
-    --status-critical: #d03b3b;
-  }
-  @media (prefers-color-scheme: dark) {
-    :root:where(:not([data-theme="light"])) .viz-root {
-      color-scheme: dark;
-      --surface-1:    #1a1a19;
-      --page:         #0d0d0d;
-      --text-primary: #ffffff;
-      --text-secondary:#c3c2b7;
-      --text-muted:   #898781;
-      --grid:         #2c2c2a;
-      --baseline:     #383835;
-      --border:       rgba(255,255,255,0.10);
-      --series-1:     #3987e5;
-      --series-2:     #d95926;
-      --series-3:     #199e70;
-      --series-4:     #c98500;
-      --merged:       #c3c2b7;
-    }
-  }
-  :root[data-theme="dark"] .viz-root {
-    color-scheme: dark;
-    --surface-1:    #1a1a19;
-    --page:         #0d0d0d;
-    --text-primary: #ffffff;
-    --text-secondary:#c3c2b7;
-    --text-muted:   #898781;
-    --grid:         #2c2c2a;
-    --baseline:     #383835;
-    --border:       rgba(255,255,255,0.10);
-    --series-1:     #3987e5;
-    --series-2:     #d95926;
-    --series-3:     #199e70;
-    --series-4:     #c98500;
-    --merged:       #c3c2b7;
-  }
-  body.viz-root {
-    margin: 0; padding: 16px 20px 40px;
-    background: var(--page); color: var(--text-primary);
-    font: 14px/1.45 system-ui, -apple-system, "Segoe UI", sans-serif;
-  }
-  h1 { font-size: 17px; margin: 0 0 2px; }
-  h2 { font-size: 13px; margin: 0 0 8px; color: var(--text-secondary);
+` + timeseries.PaletteCSS + `  h2 { font-size: 13px; margin: 0 0 8px; color: var(--text-secondary);
        text-transform: uppercase; letter-spacing: .04em; }
   .sub { color: var(--text-secondary); font-size: 12.5px; margin: 0 0 12px; }
   .card { background: var(--surface-1); border: 1px solid var(--border);

@@ -979,7 +979,6 @@ func (m *Manager) runSegment(j *job) {
 		j.Retries += res.Engine.Retries
 		j.VirtualNS += int64(res.VirtualTime)
 		j.Checkpoint = res.Checkpoint
-		j.Checkpoint.VirtualNS = j.VirtualNS
 		seq := j.Checkpoint.Shards[0].Cursor.Seq
 		actual = int64(seq - j.Frontier)
 		j.Frontier = seq

@@ -231,9 +231,6 @@ func (n *Network) SetFactory(f HostFactory) { n.factory = f }
 // VerdictDrop wins.
 func (n *Network) AddFilter(f Filter) { n.filters = append(n.filters, f) }
 
-// ClearFilters removes all filters.
-func (n *Network) ClearFilters() { n.filters = nil }
-
 // Register binds addr to node, replacing any previous binding.
 func (n *Network) Register(addr wire.Addr, node Node) { n.nodes[addr] = node }
 

@@ -3,6 +3,7 @@ package output
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"io"
 	"testing"
 
@@ -154,4 +155,35 @@ func TestBinaryReaderTornTail(t *testing.T) {
 			t.Fatalf("cut at %d surfaced bare io.EOF", cut)
 		}
 	}
+}
+
+// FuzzReadLines holds the shared torn-tail line reader to its contract
+// on arbitrary bytes: the clean prefix ends on a line boundary, reads
+// back whole and error-free, and half a line appended to it (a crash
+// mid-append) is a torn tail that leaves it unchanged.
+func FuzzReadLines(f *testing.F) {
+	f.Add([]byte("{\"seq\":1}\n{\"seq\":2}\n"))
+	f.Add([]byte("{\"seq\":1}\n{\"seq\":2"))
+	f.Add([]byte("{\"seq\":1}\n\n  \n{\"seq\":2}\n{\"se\n"))
+	f.Add([]byte("{\"seq\":1}\nnot json\n{\"seq\":3}\n"))
+	f.Add([]byte("{\"seq\":\"one\"}\n"))
+	decode := func(line []byte) error {
+		var v struct {
+			Seq int `json:"seq"`
+		}
+		return json.Unmarshal(line, &v)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		clean, err := ReadLines(data, decode)
+		if clean < 0 || clean > len(data) || (clean > 0 && data[clean-1] != '\n') {
+			t.Fatalf("clean = %d of %d bytes, not on a line boundary", clean, len(data))
+		}
+		prefix := data[:clean:clean]
+		if again, err2 := ReadLines(prefix, decode); again != clean || err2 != nil {
+			t.Fatalf("re-reading the clean prefix: clean %d -> %d, err %v (first read err %v)", clean, again, err2, err)
+		}
+		if again, err2 := ReadLines(append(prefix, `{"seq":`...), decode); again != clean || err2 != nil {
+			t.Fatalf("half a line after the clean prefix: clean %d -> %d, err %v", clean, again, err2)
+		}
+	})
 }

@@ -11,10 +11,8 @@
 package output
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 
 	"iwscan/internal/analysis"
@@ -182,97 +180,34 @@ type Sizer interface {
 	Size() (n int64, ok bool)
 }
 
-// ErrShortArtifact is returned by OpenFileSink when the file is shorter
-// than the splice point: bytes a checkpoint counted as durable are gone.
-var ErrShortArtifact = errors.New("output: artifact is shorter than its recorded length")
-
-// FileSink is a file-format sink that owns its file; see OpenFileSink.
+// FileSink is a file-format sink over the SplicedFile it owns; see
+// OpenFileSink.
 type FileSink struct {
-	Sink   // the codec, writing into the file through Write
-	f      *os.File
-	cutAt  int64 // splice point still to cut the file back to; -1 once cut
-	size   int64 // file length at the last Flush
-	stream bool  // not a regular file: only appended to, length unknown
+	Sink // the codec, writing into the file
+	*SplicedFile
 }
 
-// OpenFileSink opens path as a scan artifact spliced at byte at — the
-// one place a scan continues a partially written file. With at == 0 the
-// file is truncated and the codec writes its preamble (CSV header, IWB1
-// magic). With at > 0 the codec appends without one, and everything
-// past at (the torn tail of a crash between checkpoints) is cut at the
-// first write or flush, so a resume rejected before any output leaves
-// the file untouched. Close flushes, fsyncs and closes the file. A
-// non-regular file (/dev/null, a pipe) is a stream: only appended to,
-// its Size unknown.
+// OpenFileSink opens path as a scan artifact spliced at byte at (see
+// OpenSplicedFile). With at == 0 the codec writes its preamble (CSV
+// header, IWB1 magic); with at > 0 it continues without one. An unknown
+// format fails before the file is opened.
 func OpenFileSink(path, format string, at int64) (*FileSink, error) {
-	s := &FileSink{cutAt: at, size: at}
+	s := &FileSink{SplicedFile: new(SplicedFile)}
 	var err error
-	if s.Sink, err = NewFileSink(s, format, at > 0); err != nil {
+	if s.Sink, err = NewFileSink(s.SplicedFile, format, at > 0); err != nil {
 		return nil, err
 	}
-	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
-	if at == 0 {
-		flags |= os.O_TRUNC
-	}
-	if s.f, err = os.OpenFile(path, flags, 0o644); err != nil {
-		return nil, err
-	}
-	fi, err := s.f.Stat()
-	switch {
-	case err != nil:
-	case !fi.Mode().IsRegular():
-		s.stream, s.cutAt = true, -1
-	case fi.Size() < at:
-		err = fmt.Errorf("%w: %s has %d bytes, want at least %d", ErrShortArtifact, path, fi.Size(), at)
-	}
-	if err != nil {
-		s.f.Close()
+	if err = s.open(path, at); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// Write is the codec's path into the file: it cuts the file back to the
-// splice point before the first byte lands.
-func (s *FileSink) Write(p []byte) (int, error) {
-	if err := s.cut(); err != nil {
-		return 0, err
-	}
-	return s.f.Write(p)
-}
-
-// Flush cuts the file back to the splice point even when no record
-// came, flushes the codec into it and takes the file's length.
-func (s *FileSink) Flush() error {
-	if err := s.cut(); err != nil {
-		return err
-	}
-	if err := s.Sink.Flush(); err != nil || s.stream {
-		return err
-	}
-	var err error
-	s.size, err = s.f.Seek(0, io.SeekEnd)
-	return err
-}
-
-// Close flushes, fsyncs and closes the file.
+// Close flushes the codec, then fsyncs and closes the file.
 func (s *FileSink) Close() error {
-	err := s.Flush()
-	if serr := s.f.Sync(); err == nil && !s.stream {
-		err = serr
-	}
-	if cerr := s.f.Close(); err == nil {
+	err := s.Sink.Flush()
+	if cerr := s.SplicedFile.Close(); err == nil {
 		err = cerr
-	}
-	return err
-}
-
-// Size returns the file's byte length as of the last Flush.
-func (s *FileSink) Size() (int64, bool) { return s.size, !s.stream }
-
-func (s *FileSink) cut() (err error) {
-	if s.cutAt >= 0 {
-		err, s.cutAt = s.f.Truncate(s.cutAt), -1
 	}
 	return err
 }

@@ -239,10 +239,6 @@ func (e *Engine) FrontierLag() int64 { return int64(e.nextSeq - e.frontier) }
 // re-launch. Only meaningful when read on the simulation goroutine.
 func (e *Engine) RetryQueueLen() int { return len(e.retryq) }
 
-// Outstanding returns the number of launched-but-unfinished probes.
-// Only meaningful when read on the simulation goroutine.
-func (e *Engine) Outstanding() int { return e.outstanding }
-
 // Fail reports that the current attempt of probe seq failed (e.g. the
 // handshake timed out). It returns true when the engine will re-launch
 // the probe — the caller must then discard the attempt's result and not

@@ -124,7 +124,6 @@ type ClientConn struct {
 
 	pendingData []byte // request sent with the handshake ACK
 	bytesRcvd   int64
-	segsRcvd    int64
 	unackedSegs int
 	ackTimer    netsim.Timer // the delayed ACK
 	synTimer    netsim.Timer // SYN retransmission
@@ -168,9 +167,6 @@ func (c *Client) allocPort() uint16 {
 
 // BytesReceived returns the total payload bytes delivered in order.
 func (cc *ClientConn) BytesReceived() int64 { return cc.bytesRcvd }
-
-// SegmentsReceived returns the number of data segments received.
-func (cc *ClientConn) SegmentsReceived() int64 { return cc.segsRcvd }
 
 func (cc *ClientConn) sendSYN() {
 	var h wire.TCPHeader
@@ -229,7 +225,6 @@ func (cc *ClientConn) handleSegment(tcp *wire.TCPHeader, data []byte) {
 		}
 		cc.rcvNxt += uint32(len(data))
 		cc.bytesRcvd += int64(len(data))
-		cc.segsRcvd++
 		if cc.events.OnData != nil {
 			cc.events.OnData(cc, data)
 		}

@@ -24,7 +24,6 @@
 package tcpstack
 
 import (
-	"fmt"
 	"slices"
 
 	"iwscan/internal/netsim"
@@ -475,15 +474,6 @@ type Conn struct {
 	retries      int
 }
 
-// RemoteAddr returns the peer's address.
-func (c *Conn) RemoteAddr() wire.Addr { return c.key.peer }
-
-// RemotePort returns the peer's port.
-func (c *Conn) RemotePort() uint16 { return c.key.peerPort }
-
-// LocalPort returns the local (listening) port.
-func (c *Conn) LocalPort() uint16 { return c.key.localPort }
-
 // EffMSS returns the negotiated effective MSS for this connection.
 func (c *Conn) EffMSS() int { return c.effMSS }
 
@@ -921,11 +911,4 @@ func (c *Conn) onRetxTimeout() {
 		return
 	}
 	c.retx.Arm(c.rto)
-}
-
-// DebugString renders connection state for tracing.
-func (c *Conn) DebugString() string {
-	return fmt.Sprintf("%s:%d<-%s state=%s cwnd=%d mss=%d inflight=%d queued=%d",
-		c.host.addr, c.key.localPort, c.key.peer, c.state, c.cwnd, c.effMSS,
-		c.inflightBytes, len(c.sndQueue))
 }

@@ -10,14 +10,12 @@ package timeseries
 // fonts, scripts or styles are fetched beyond /timeseries itself.
 func DashboardHTML() string { return dashHTML }
 
-const dashHTML = `<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<title>iwscan telemetry</title>
-<style>
-  .viz-root {
+// PaletteCSS is the validated viz palette both dashboards share — this
+// one and the jobs control plane's: light and dark .viz-root custom
+// properties (fixed categorical series colors, a neutral ink for merged
+// series, status colors), the page body and its h1. Pages splice it into
+// their <style>.
+const PaletteCSS = `  .viz-root {
     color-scheme: light;
     --surface-1:    #fcfcfb;
     --page:         #f9f9f7;
@@ -27,10 +25,10 @@ const dashHTML = `<!DOCTYPE html>
     --grid:         #e1e0d9;
     --baseline:     #c3c2b7;
     --border:       rgba(11,11,11,0.10);
-    --series-1:     #2a78d6;  /* shard 0 */
-    --series-2:     #eb6834;  /* shard 1 */
-    --series-3:     #1baf7a;  /* shard 2 */
-    --series-4:     #eda100;  /* shard 3 */
+    --series-1:     #2a78d6;
+    --series-2:     #eb6834;
+    --series-3:     #1baf7a;
+    --series-4:     #eda100;
     --merged:       #52514e;  /* neutral ink, not a series hue */
     --status-warning:  #fab219;
     --status-serious:  #ec835a;
@@ -76,7 +74,16 @@ const dashHTML = `<!DOCTYPE html>
     font: 14px/1.45 system-ui, -apple-system, "Segoe UI", sans-serif;
   }
   h1 { font-size: 17px; margin: 0 0 2px; }
-  .sub { color: var(--text-secondary); font-size: 12.5px; margin: 0 0 12px; }
+`
+
+const dashHTML = `<!DOCTYPE html>
+<html lang="en">
+<head>
+<meta charset="utf-8">
+<meta name="viewport" content="width=device-width, initial-scale=1">
+<title>iwscan telemetry</title>
+<style>
+` + PaletteCSS + `  .sub { color: var(--text-secondary); font-size: 12.5px; margin: 0 0 12px; }
   .legend { display: flex; flex-wrap: wrap; gap: 14px; align-items: center;
             margin: 0 0 14px; font-size: 12.5px; color: var(--text-secondary); }
   .legend .chip { display: inline-block; width: 14px; height: 3px;

@@ -1,61 +1,68 @@
 package timeseries
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
-	"sync"
+
+	"iwscan/internal/output"
 )
 
 // jsonlLine is one line of the -telemetry-out stream: exactly one of
 // the payload fields is set, named by Type ("sample" or "anomaly").
-// Concatenating the streams of a scan and its resumed continuation
-// yields a valid stream, which is what makes -telemetry-out append-safe
-// alongside checkpoints.
+// Under -resume the stream is spliced at the checkpoint like -out, and
+// the resumed sampler continues the checkpoint's clock and interval
+// indexes, so the file stays one valid stream across any number of
+// resumes.
 type jsonlLine struct {
 	Type    string   `json:"type"`
 	Sample  *Sample  `json:"sample,omitempty"`
 	Anomaly *Anomaly `json:"anomaly,omitempty"`
 }
 
-// jsonlWriter streams samples and anomalies as they are appended. Write
-// errors are sticky and surfaced at Close — telemetry I/O must never
-// interrupt a scan.
+// jsonlWriter streams samples and anomalies as they are appended, one
+// Write per line (so a checkpoint reads the stream's length with no
+// flush), always under the store's lock. Write errors are sticky and
+// surfaced at CloseStream — telemetry I/O must never interrupt a scan.
 type jsonlWriter struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
+	w   io.Writer
 	enc *json.Encoder
 	err error
 }
 
 // StreamJSONL attaches w as the store's live JSONL stream: every
 // subsequent Append writes one sample line (plus one line per anomaly
-// fired). Call CloseStream when the scan ends to flush and collect any
-// sticky write error.
+// fired). Call CloseStream when the scan ends to collect any sticky
+// write error.
 func (st *Store) StreamJSONL(w io.Writer) {
-	bw := bufio.NewWriter(w)
-	jw := &jsonlWriter{bw: bw, enc: json.NewEncoder(bw)}
 	st.mu.Lock()
-	st.stream = jw
+	st.stream = &jsonlWriter{w: w, enc: json.NewEncoder(w)}
 	st.mu.Unlock()
 }
 
-// CloseStream detaches and flushes the JSONL stream, returning the
-// first write error encountered (nil when no stream was attached).
+// StreamSize returns the attached stream's byte length when its writer
+// knows it (an output.SplicedFile): the splice point a checkpoint
+// records for -telemetry-out.
+func (st *Store) StreamSize() (n int64, ok bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.stream != nil {
+		if sz, isSizer := st.stream.w.(output.Sizer); isSizer {
+			return sz.Size()
+		}
+	}
+	return 0, false
+}
+
+// CloseStream detaches the JSONL stream, returning the first write
+// error encountered (nil when no stream was attached).
 func (st *Store) CloseStream() error {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	jw := st.stream
 	st.stream = nil
-	st.mu.Unlock()
 	if jw == nil {
 		return nil
-	}
-	jw.mu.Lock()
-	defer jw.mu.Unlock()
-	if err := jw.bw.Flush(); err != nil && jw.err == nil {
-		jw.err = err
 	}
 	return jw.err
 }
@@ -69,71 +76,59 @@ func (w *jsonlWriter) writeAnomaly(a *Anomaly) {
 }
 
 func (w *jsonlWriter) write(l jsonlLine) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return
-	}
-	if err := w.enc.Encode(l); err != nil {
-		w.err = err
+	if w.err == nil {
+		w.err = w.enc.Encode(l)
 	}
 }
 
-// ReadJSONL parses a telemetry stream back into samples and anomalies.
-// Unknown line types are an error (the stream is versioned by shape).
+// ReadJSONL parses a telemetry stream back into samples and anomalies
+// through output.ReadLines, so a torn final line (a crash mid-append)
+// is dropped. Unknown line types are an error (the stream is versioned
+// by shape).
 func ReadJSONL(r io.Reader) (samples []Sample, anomalies []Anomaly, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		raw := strings.TrimSpace(sc.Text())
-		if raw == "" {
-			continue
-		}
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	_, err = output.ReadLines(data, func(line []byte) error {
 		var l jsonlLine
-		if err := json.Unmarshal([]byte(raw), &l); err != nil {
-			return nil, nil, fmt.Errorf("timeseries: line %d: %v", lineNo, err)
+		if err := json.Unmarshal(line, &l); err != nil {
+			return err
 		}
-		switch l.Type {
-		case "sample":
-			if l.Sample == nil {
-				return nil, nil, fmt.Errorf("timeseries: line %d: sample line without sample", lineNo)
-			}
+		switch {
+		case l.Type == "sample" && l.Sample != nil:
 			samples = append(samples, *l.Sample)
-		case "anomaly":
-			if l.Anomaly == nil {
-				return nil, nil, fmt.Errorf("timeseries: line %d: anomaly line without anomaly", lineNo)
-			}
+		case l.Type == "anomaly" && l.Anomaly != nil:
 			anomalies = append(anomalies, *l.Anomaly)
 		default:
-			return nil, nil, fmt.Errorf("timeseries: line %d: unknown type %q", lineNo, l.Type)
+			return fmt.Errorf("%q line: unknown type or no payload", l.Type)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, err
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("timeseries: %w", err)
 	}
 	return samples, anomalies, nil
 }
 
 // VerifyStream checks the invariants every -telemetry-out stream must
 // hold: at least one sample for every shard in [0, wantShards) (when
-// wantShards > 0), per-shard interval indexes strictly increasing
-// within each run segment, non-negative counter deltas, and — when
-// requireAnomaly is set — at least one anomaly line.
+// wantShards > 0), per-shard interval indexes strictly increasing and
+// intervals never overlapping (across resumed segments too),
+// non-negative counter deltas, and — when requireAnomaly is set — at
+// least one anomaly line.
 func VerifyStream(samples []Sample, anomalies []Anomaly, wantShards int, requireAnomaly bool) error {
 	if len(samples) == 0 {
 		return fmt.Errorf("timeseries: stream has no samples")
 	}
-	seen := make(map[int]int)
-	lastIdx := make(map[int]uint64)
+	last := make(map[int]*Sample)
 	for i := range samples {
 		s := &samples[i]
-		seen[s.Shard]++
-		if prev, ok := lastIdx[s.Shard]; ok && s.Index != 0 && s.Index <= prev {
-			return fmt.Errorf("timeseries: shard %d interval index went %d -> %d", s.Shard, prev, s.Index)
+		if p := last[s.Shard]; p != nil && (s.Index <= p.Index || s.StartNS < p.EndNS) {
+			return fmt.Errorf("timeseries: shard %d went from index %d [%d, %d) to index %d [%d, %d)",
+				s.Shard, p.Index, p.StartNS, p.EndNS, s.Index, s.StartNS, s.EndNS)
 		}
-		lastIdx[s.Shard] = s.Index
+		last[s.Shard] = s
 		if s.EndNS < s.StartNS {
 			return fmt.Errorf("timeseries: shard %d index %d spans [%d, %d]", s.Shard, s.Index, s.StartNS, s.EndNS)
 		}
@@ -144,7 +139,7 @@ func VerifyStream(samples []Sample, anomalies []Anomaly, wantShards int, require
 		}
 	}
 	for shard := 0; shard < wantShards; shard++ {
-		if seen[shard] == 0 {
+		if last[shard] == nil {
 			return fmt.Errorf("timeseries: no samples for shard %d (want %d shards)", shard, wantShards)
 		}
 	}

@@ -27,9 +27,10 @@ type Sampler struct {
 	reg      *metrics.Registry
 	shard    int
 	interval netsim.Time
+	origin   netsim.Time // virtual time the resumed segments already ran
 
 	index uint64
-	epoch netsim.Time // virtual start of the current interval
+	epoch netsim.Time // virtual start of the current interval, on n's clock
 
 	prevCounters map[string]int64
 	prevWall     time.Time
@@ -43,16 +44,25 @@ type Sampler struct {
 }
 
 // Attach arms a sampler for shard on n's registry, sampling every
-// store-configured interval of virtual time into store. Call Stop when
-// the scan completes; Stop emits one final partial-interval sample so
-// short scans still produce a timeline.
-func Attach(n *netsim.Network, store *Store, shard int) *Sampler {
+// store-configured interval of virtual time into store. origin is the
+// virtual time a resumed scan's earlier segments ran (0 for a fresh
+// scan): samples are stamped origin plus n's clock, interval i ends at
+// (i+1)*interval, and a resumed run starts at index ⌈origin/interval⌉
+// with a first sample that also covers the partial interval before it,
+// so indexes and intervals continue the earlier segments'. Call Stop
+// when the scan completes; Stop emits one final partial-interval sample
+// so short scans still produce a timeline.
+func Attach(n *netsim.Network, store *Store, shard int, origin netsim.Time) *Sampler {
+	iv := store.Config().Interval
+	first := (origin + iv - 1) / iv
 	s := &Sampler{
 		store:        store,
 		n:            n,
 		reg:          n.Metrics(),
 		shard:        shard,
-		interval:     store.Config().Interval,
+		interval:     iv,
+		origin:       origin,
+		index:        uint64(first),
 		epoch:        n.Now(),
 		prevCounters: n.Metrics().Snapshot().Counters,
 		prevWall:     time.Now(),
@@ -61,7 +71,7 @@ func Attach(n *netsim.Network, store *Store, shard int) *Sampler {
 	s.prevGC = s.mem.NumGC
 	s.prevPauseNS = s.mem.PauseTotalNs
 	s.timer.Bind(n, func(a any) { a.(*Sampler).tick() }, s)
-	s.timer.Arm(s.interval)
+	s.timer.Arm((first+1)*iv - origin)
 	return s
 }
 
@@ -86,6 +96,12 @@ func (s *Sampler) Stop() {
 
 func (s *Sampler) sample(final bool) {
 	now := s.n.Now()
+	if end := s.origin + now; final && end > 0 && end <= netsim.Time(s.index)*s.interval {
+		// The closing sample would not reach into its own interval: the
+		// run stopped on a tick, or a resumed run stopped before its
+		// first grid line. The stream already has that interval's index.
+		return
+	}
 	wall := time.Now()
 	snap := s.reg.Snapshot()
 
@@ -133,8 +149,8 @@ func (s *Sampler) sample(final bool) {
 	smp := Sample{
 		Shard:    s.shard,
 		Index:    s.index,
-		StartNS:  int64(s.epoch),
-		EndNS:    int64(now),
+		StartNS:  int64(s.origin + s.epoch),
+		EndNS:    int64(s.origin + now),
 		WallNS:   wall.Sub(s.prevWall).Nanoseconds(),
 		Final:    final,
 		Counters: counters,

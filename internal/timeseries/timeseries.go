@@ -18,7 +18,8 @@
 // Three consumers sit on top of the Store:
 //
 //   - a JSONL stream (-telemetry-out): one line per sample or anomaly,
-//     shard-tagged, append-safe so resumed scans extend the same file;
+//     shard-tagged, spliced at the checkpoint so resumed scans extend
+//     the same file;
 //   - the debug server's /timeseries (JSON document) and /dash
 //     (self-contained HTML sparkline dashboard) endpoints;
 //   - the -status-interval progress line, which surfaces the anomaly

@@ -2,6 +2,7 @@ package timeseries
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -204,7 +205,9 @@ func TestJSONLRoundTripAndVerify(t *testing.T) {
 		t.Fatalf("CloseStream: %v", err)
 	}
 
-	samples, anomalies, err := ReadJSONL(&buf)
+	// A torn final line (a crash mid-append) is dropped, not an error.
+	torn := append(buf.Bytes(), `{"type":"sample","sample":{"sha`...)
+	samples, anomalies, err := ReadJSONL(bytes.NewReader(torn))
 	if err != nil {
 		t.Fatalf("ReadJSONL: %v", err)
 	}
@@ -234,16 +237,21 @@ func TestReadJSONLRejectsUnknownType(t *testing.T) {
 	}
 }
 
-func TestVerifyStreamAllowsResumeRestart(t *testing.T) {
-	// A resumed scan appends a fresh run to the same file: indexes
-	// restart at zero, which the verifier must tolerate.
-	samples := []Sample{mk(0, 0, nil, nil), mk(0, 1, nil, nil), mk(0, 0, nil, nil), mk(0, 1, nil, nil)}
-	if err := VerifyStream(samples, nil, 1, false); err != nil {
-		t.Fatalf("VerifyStream rejected a resumed (restarted-index) stream: %v", err)
+func TestVerifyStreamRejectsIndexRestart(t *testing.T) {
+	// A resumed scan continues the stream's indexes and clock, so an
+	// index that restarts at zero is a second run appended blindly.
+	restart := []Sample{mk(0, 0, nil, nil), mk(0, 1, nil, nil), mk(0, 0, nil, nil), mk(0, 1, nil, nil)}
+	if err := VerifyStream(restart, nil, 1, false); err == nil {
+		t.Fatal("VerifyStream accepted an index that restarts at zero")
 	}
 	bad := []Sample{mk(0, 0, nil, nil), mk(0, 2, nil, nil), mk(0, 1, nil, nil)}
 	if err := VerifyStream(bad, nil, 1, false); err == nil {
-		t.Fatalf("VerifyStream should reject out-of-order non-zero indexes")
+		t.Fatal("VerifyStream should reject out-of-order indexes")
+	}
+	overlap := []Sample{mk(0, 0, nil, nil), mk(0, 1, nil, nil), mk(0, 2, nil, nil)}
+	overlap[2].StartNS = overlap[1].StartNS
+	if err := VerifyStream(overlap, nil, 1, false); err == nil {
+		t.Fatal("VerifyStream should reject overlapping intervals")
 	}
 }
 
@@ -253,7 +261,7 @@ func TestVerifyStreamAllowsResumeRestart(t *testing.T) {
 func TestSamplerOnNetwork(t *testing.T) {
 	n := netsim.New(1)
 	st := NewStore(Config{Interval: 100 * netsim.Millisecond})
-	s := Attach(n, st, 0)
+	s := Attach(n, st, 0, 0)
 	s.AddProbe(func(set func(string, int64)) { set("test.probe", 42) })
 
 	launched := n.Metrics().Counter("engine.launched")
@@ -298,6 +306,37 @@ func TestSamplerOnNetwork(t *testing.T) {
 	s.Stop()
 	if n.QueueLen() != 0 {
 		t.Fatalf("event queue still has %d entries after Stop", n.QueueLen())
+	}
+}
+
+// TestSamplerResumesOnGrid runs one scan as resumed segments, each on a
+// fresh network whose clock restarts at zero, with the previous
+// segments' virtual time as origin. The stream must read as one run:
+// indexes strictly increasing, intervals on one clock and never
+// overlapping, no zero-length sample where a segment stops on a tick,
+// and none for a segment that stops before reaching a new interval.
+func TestSamplerResumesOnGrid(t *testing.T) {
+	const ms = netsim.Millisecond
+	st := NewStore(Config{Interval: 100 * ms})
+	origin := netsim.Time(0)
+	for _, run := range []netsim.Time{300 * ms, 150 * ms, 120 * ms, 20 * ms, 200 * ms} {
+		n := netsim.New(1)
+		s := Attach(n, st, 0, origin)
+		n.At(run, func() { s.Stop() })
+		n.RunUntilIdle()
+		origin += run
+	}
+	samples, _ := st.Series(0)
+	if err := VerifyStream(samples, nil, 1, false); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, smp := range samples {
+		got = append(got, fmt.Sprintf("%d:[%d,%d)", smp.Index, smp.StartNS/int64(ms), smp.EndNS/int64(ms)))
+	}
+	want := "0:[0,100) 1:[100,200) 2:[200,300) 3:[300,400) 4:[400,450) 5:[450,570) 6:[590,700) 7:[700,790)"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("resumed samples\n got %s\nwant %s", strings.Join(got, " "), want)
 	}
 }
 
