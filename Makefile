@@ -48,9 +48,10 @@ test:
 # merge, the timeseries store, the debug server, and the jobs
 # scheduler; the experiments stress tests hammer them with concurrent
 # parallel scans, checkpoint interrupts, and live scrapes). httpsim and
-# tlssim are here for their response memos: a Server's memoised wire
-# bytes are unsynchronised by contract (one Server, one Host, one
-# Network, one goroutine), and their tests replay one Server across
+# tlssim are here for their response memos: a Server's memos are
+# rendered on demand, written whenever a connection sends past what they
+# hold, and unsynchronised by contract (one Server, one Host, one
+# Network, one goroutine); their tests send from one Server across
 # connections, so a second writer would show up as a race. inet is here
 # because every shard's simulator materialises its hosts from one
 # shared Universe, which must stay read-only.

@@ -96,6 +96,14 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
+// stream reports whether path names an existing file that is not a
+// regular one (/dev/null, a pipe): it has no length for a checkpoint to
+// record, so a resume only appends to it.
+func stream(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && !fi.Mode().IsRegular()
+}
+
 func main() {
 	var (
 		statusIv = flag.Duration("status-interval", 0, "print ZMap-style progress to stderr at this wall-clock interval (0 = off)")
@@ -306,17 +314,22 @@ func main() {
 	// stage decouples the simulation from file I/O; its bounded queue
 	// pushes back instead of growing. On -resume, -out is spliced at the
 	// length the checkpoint recorded, dropping whatever a crash after
-	// that checkpoint left behind; stdout can only be appended to.
+	// that checkpoint left behind. A stream (stdout, /dev/null, a pipe)
+	// has no length to record and is only appended to, without a second
+	// preamble; any other file with no length recorded is refused, since
+	// a file continued without its preamble would be unreadable.
 	var fileSink output.Sink
 	switch {
 	case *out == "":
 		fileSink, err = output.NewFileSink(os.Stdout, *format, resumeSt != nil)
 	case resumeSt == nil:
 		fileSink, err = output.OpenFileSink(*out, *format, 0)
-	case resumeSt.OutputBytes == nil:
-		fatalf("-resume %s: %v", *resume, checkpoint.ErrNoOutputBytes)
-	default:
+	case resumeSt.OutputBytes != nil:
 		fileSink, err = output.OpenFileSink(*out, *format, *resumeSt.OutputBytes)
+	case stream(*out):
+		fileSink, err = output.AppendFileSink(*out, *format)
+	default:
+		fatalf("-resume %s: %v", *resume, checkpoint.ErrNoOutputBytes)
 	}
 	if err != nil {
 		fatalf("%v", err)

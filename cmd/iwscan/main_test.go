@@ -219,6 +219,51 @@ func TestCLIResumeRefusesUnsplicedTelemetry(t *testing.T) {
 	}
 }
 
+// TestCLIResumeStreamOut: a scan whose -out is a stream (/dev/null)
+// records no output length in its checkpoint. Resuming it into a stream
+// appends and completes. Resuming it into a regular file, which would
+// lack its preamble, is refused by name: an existing file is left as it
+// was, and a missing one is not created.
+func TestCLIResumeStreamOut(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	ck, out := filepath.Join(dir, "scan.ck"), filepath.Join(dir, "out.csv")
+	scan := []string{"-sample", "0.004", "-seed", "5", "-rate", "100", "-q"}
+	iwscan(t, append(scan, "-out", os.DevNull, "-checkpoint", ck, "-time-limit", "2s")...)
+	st, err := checkpoint.Load(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.OutputBytes != nil {
+		t.Fatalf("a scan into %s recorded output_bytes %d", os.DevNull, *st.OutputBytes)
+	}
+
+	const before = "kept\n"
+	if err := os.WriteFile(out, []byte(before), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], append(scan, "-resume", ck, "-out", out)...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	msg, err := cmd.CombinedOutput()
+	if err == nil || !strings.Contains(string(msg), checkpoint.ErrNoOutputBytes.Error()) {
+		t.Fatalf("resume into a regular file: err = %v, output %q; want a refusal naming output_bytes", err, msg)
+	}
+	if got, _ := os.ReadFile(out); string(got) != before {
+		t.Fatalf("the refused resume rewrote -out: %q", got)
+	}
+	missing := filepath.Join(dir, "new.csv")
+	cmd = exec.Command(os.Args[0], append(scan, "-resume", ck, "-out", missing)...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	if msg, err := cmd.CombinedOutput(); err == nil || !strings.Contains(string(msg), checkpoint.ErrNoOutputBytes.Error()) {
+		t.Fatalf("resume into a new file: err = %v, output %q; want a refusal naming output_bytes", err, msg)
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Fatalf("the refused resume created -out (stat: %v)", err)
+	}
+
+	iwscan(t, append(scan, "-resume", ck, "-out", os.DevNull)...)
+}
+
 // TestCLIFlightDir is the forensic-pipeline gate: a fixed-seed adversity
 // scan with anomaly triggers armed must freeze at least one record, every
 // record must load, and each record's trace export must validate and

@@ -16,12 +16,12 @@ import (
 // TestProbeTargetAllocBudget is the allocation ratchet of the per-target
 // prober: one whole ProbeTarget against a warm host, through the
 // network and the host. The scanner's own share per target is the
-// TargetResult, its PerMSS and Probes backing arrays, the Host text of
-// an HTTP target (wire.Addr.String); the done closure below is one
-// more. The rest is the host's per connection: the echo 404 assembled
-// around each request's path and the TLS server decoding each
-// ClientHello. Accepting a connection and opening its session cost
-// nothing (see tcpstack's TestExchangeAllocBudget).
+// TargetResult and its PerMSS and Probes backing arrays (the Host header
+// is rendered into the recycled state); the done closure below is one
+// more. The host's share is nothing: accepting a connection, opening its
+// session, decoding a ClientHello and answering with an echo 404 or a
+// memoised flight all reuse storage of the host's (see tcpstack's
+// TestExchangeAllocBudget).
 func TestProbeTargetAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -30,12 +30,12 @@ func TestProbeTargetAllocBudget(t *testing.T) {
 		listen func(h *tcpstack.Host)
 	}{
 		// 6 probes, each a GET / and a bloated follow-up: 12 connections,
-		// each with its echo 404; measured 23.
-		{"http-bloat", 24, TargetConfig{Strategy: StrategyHTTP}, func(h *tcpstack.Host) {
+		// each with its echo 404; measured 4.
+		{"http-bloat", 5, TargetConfig{Strategy: StrategyHTTP}, func(h *tcpstack.Host) {
 			h.Listen(80, httpsim.NewServer(httpsim.ServerConfig{Root: httpsim.BehaviorNotFound, EchoURI: true}))
 		}},
-		// 6 connections at 5 allocations each on the host; measured 34.
-		{"tls", 35, TargetConfig{Strategy: StrategyTLS}, func(h *tcpstack.Host) {
+		// 6 connections, none allocating on the host; measured 4.
+		{"tls", 5, TargetConfig{Strategy: StrategyTLS}, func(h *tcpstack.Host) {
 			h.Listen(443, tlssim.NewServer(tlssim.ServerConfig{Behavior: tlssim.BehaviorServeChain, ChainLen: 5000, Seed: 9}))
 		}},
 		// One connection, which the host opens in its own Conn and the

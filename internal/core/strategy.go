@@ -113,11 +113,10 @@ func (s *Scanner) ProbeTarget(target wire.Addr, tc TargetConfig, done func(*Targ
 	tp.probes = make([]ProbeResult, 0, len(tp.cfg.MSSList)*tp.cfg.Repeats)
 	tp.perMSS = make([]MSSResult, 0, len(tp.cfg.MSSList))
 	if tp.cfg.Strategy != StrategyTLS {
-		tp.host = tp.cfg.SNI
-		if tp.host == "" {
-			tp.host = target.String() // only the IP is known Internet-wide
+		if tp.cfg.SNI == "" {
+			tp.quad = target.AppendTo(tp.quadBuf[:0]) // only the IP is known Internet-wide
 		}
-		tp.get = httpsim.AppendRequest(tp.get[:0], "/", tp.host, "Connection", "close", "Accept", "*/*")
+		tp.get = tp.appendRequest(tp.get[:0], "/", "", "Connection", "close", "Accept", "*/*")
 	}
 	tp.next()
 }
@@ -139,11 +138,14 @@ type targetProbe struct {
 	probes []ProbeResult // every finished probe, MSS by MSS
 	perMSS []MSSResult   // one per finished MSS; Probes are slices of probes
 
-	host  string // the HTTP Host header
 	get   []byte // the GET / request, the same bytes for every probe
 	req   []byte // the redirect or bloat request of a follow-up
 	hello []byte // the TLS ClientHello of the current probe
 	head  []byte // the GET / connection's response prefix
+	quad  []byte // the target's dotted quad, its Host header without an SNI
+	// quadBuf holds quad, so that a state made for one target, as in a
+	// census, renders it without an allocation.
+	quadBuf [len("255.255.255.255")]byte
 
 	following bool        // the open connection is an HTTP follow-up
 	first     ProbeResult // the GET / result the follow-up competes with
@@ -217,10 +219,7 @@ func (tp *targetProbe) followUp(r ProbeResult) bool {
 	if head, ok := httpsim.ParseResponseHead(tp.head); !cfg.NoRedirectFollow && ok &&
 		(head.StatusCode == 301 || head.StatusCode == 302) && head.Location != "" {
 		locHost, locPath := httpsim.ParseURI(head.Location)
-		if locHost == "" {
-			locHost = tp.host
-		}
-		tp.req = httpsim.AppendRequest(tp.req[:0], locPath, locHost, "Connection", "close", "Accept", "*/*")
+		tp.req = tp.appendRequest(tp.req[:0], locPath, locHost, "Connection", "close", "Accept", "*/*")
 	} else if cfg.NoBloat {
 		return false
 	} else {
@@ -228,11 +227,24 @@ func (tp *targetProbe) followUp(r ProbeResult) bool {
 		if len(s.bloat) != cfg.BloatLen {
 			s.bloat = httpsim.BloatedPath(cfg.BloatLen)
 		}
-		tp.req = httpsim.AppendRequest(tp.req[:0], s.bloat, tp.host, "Connection", "close")
+		tp.req = tp.appendRequest(tp.req[:0], s.bloat, "", "Connection", "close")
 	}
 	tp.following, tp.first = true, r
 	tp.conn.open(tp.conn.mss, tp.req, false, false)
 	return true
+}
+
+// appendRequest appends a GET of path to dst whose Host header is host
+// or, when that is empty, the target's own: the SNI if one is set, else
+// the dotted quad.
+func (tp *targetProbe) appendRequest(dst []byte, path, host string, extra ...string) []byte {
+	if host == "" {
+		host = tp.cfg.SNI
+	}
+	if host == "" {
+		return httpsim.AppendRequest(dst, path, tp.quad, extra...)
+	}
+	return httpsim.AppendRequest(dst, path, host, extra...)
 }
 
 // report hands the result to done, then puts the state back on the

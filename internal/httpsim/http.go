@@ -174,8 +174,9 @@ func BuildRequest(path, host string, extra ...string) []byte {
 }
 
 // AppendRequest appends the bytes BuildRequest renders to dst, growing
-// it at most once, to the exact size.
-func AppendRequest(dst []byte, path, host string, extra ...string) []byte {
+// it at most once, to the exact size. The host may be given as bytes, so
+// that a caller can render an address into a buffer of its own.
+func AppendRequest[H string | []byte](dst []byte, path string, host H, extra ...string) []byte {
 	n := len("GET  HTTP/1.1\r\nHost: \r\n\r\n") + len(path) + len(host)
 	for i := 0; i+1 < len(extra); i += 2 {
 		n += len(extra[i]) + len(": \r\n") + len(extra[i+1])

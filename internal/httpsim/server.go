@@ -2,6 +2,7 @@ package httpsim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"iwscan/internal/stats"
@@ -55,11 +56,14 @@ type ServerConfig struct {
 //
 // Every response a Server can give is a pure function of its
 // ServerConfig (the URI-echoing 404 also of the request path), so each
-// is rendered once, on first use, straight into its final wire form,
-// and every later connection is handed that same slice: tcpstack's
-// Conn.Write adopts it without a copy and never writes through it (see
-// "Payload ownership" in DESIGN.md). The memos are not synchronised: a
-// Server belongs to the one tcpstack.Host it listens on, hence to one
+// is rendered once, straight into its final wire form, and every later
+// connection sends from that same memo (see "Payload ownership" in
+// DESIGN.md). The 200 page is a tcpstack.Source rendered on demand: its
+// head eagerly, its body only as far as a connection has transmitted,
+// which for the scanner is the IW and the few segments its verify ACK
+// releases. The 301 and the 404 that does not echo the URI are small and
+// rendered whole on first use. The memos are not synchronised: a Server
+// belongs to the one tcpstack.Host it listens on, hence to one
 // netsim.Network and its one goroutine, and lives as long as that host.
 //
 // A Server also carries one session, which each connection takes while
@@ -67,7 +71,7 @@ type ServerConfig struct {
 type Server struct {
 	cfg ServerConfig
 
-	page      []byte // 200 with the PageLen-byte page
+	page      page   // 200 with the PageLen-byte page
 	moved     []byte // 301 to RedirectHost+RedirectPath
 	notFound  []byte // 404 that does not echo the URI
 	errFiller []byte // the filler of the URI-echoing 404
@@ -102,7 +106,7 @@ func (s *Server) NewSession(c *tcpstack.Conn) tcpstack.Session {
 	if ss.conn != nil && ss.conn != c && !ss.conn.Closed() {
 		ss = new(serverSession)
 	}
-	*ss = serverSession{srv: s, conn: c, buf: ss.buf[:0]}
+	*ss = serverSession{srv: s, conn: c, buf: ss.buf[:0], echo: ss.echo[:0]}
 	return ss
 }
 
@@ -110,6 +114,10 @@ type serverSession struct {
 	srv  *Server
 	conn *tcpstack.Conn
 	buf  []byte // the head so far, while it spans segments
+	// echo is the URI-echoing 404 of the session's connection, which
+	// sends from it until it closes; the session is handed on, and echo
+	// rewritten, only after that.
+	echo []byte
 	done bool
 }
 
@@ -147,63 +155,104 @@ func (ss *serverSession) OnData(data []byte) {
 
 func (ss *serverSession) respond(req requestHead) {
 	srv := ss.srv
-	cfg := &srv.cfg
-	close := containsFold(req.connection, "close")
-
-	switch cfg.Root {
+	switch srv.cfg.Root {
 	case BehaviorReset:
 		ss.conn.Abort()
 		return
 	case BehaviorEmpty:
 		ss.conn.Close()
 		return
-	case BehaviorRedirect:
-		if string(req.path) == "/" {
-			ss.write(srv.movedResponse(), close)
-			return
-		}
-		if string(req.path) == cfg.RedirectPath {
-			ss.write(srv.pageResponse(), close)
-			return
-		}
-	case BehaviorNotFound:
-	case BehaviorVHost:
-		if hasLetter(req.host) {
-			ss.write(srv.pageResponse(), close)
-			return
-		}
-	default: // BehaviorPage
-		if string(req.path) == "/" || cfg.AnyPath {
-			ss.write(srv.pageResponse(), close)
-			return
-		}
 	}
-	ss.write(srv.notFoundResponse(req.path), close)
-}
-
-func (ss *serverSession) write(resp []byte, close bool) {
-	ss.conn.Write(resp)
-	if close {
-		ss.conn.Close()
+	switch {
+	case srv.cfg.Root == BehaviorRedirect && string(req.path) == "/":
+		ss.conn.Write(srv.movedResponse())
+	case srv.servesPage(req):
+		ss.conn.Send(srv.pageSource())
+	case srv.cfg.EchoURI:
+		ss.echo = srv.appendEchoNotFound(ss.echo[:0], req.path)
+		ss.conn.Write(ss.echo)
+	default:
+		ss.conn.Write(srv.notFoundResponse())
 	}
 	// Without Connection: close the server keeps the connection open
 	// (keep-alive); the scanner tears it down with a RST.
+	if containsFold(req.connection, "close") {
+		ss.conn.Close()
+	}
 }
 
-// newResponse returns a buffer sized for a whole response with a body
-// of bodyLen bytes, holding the head; the caller appends the body.
-func newResponse(code int, reason string, bodyLen int, headers ...string) []byte {
+// servesPage reports whether req gets the 200 page.
+func (s *Server) servesPage(req requestHead) bool {
+	switch s.cfg.Root {
+	case BehaviorRedirect:
+		return string(req.path) == s.cfg.RedirectPath
+	case BehaviorVHost:
+		return hasLetter(req.host)
+	case BehaviorNotFound:
+		return false
+	default: // BehaviorPage
+		return string(req.path) == "/" || s.cfg.AnyPath
+	}
+}
+
+// appendHead appends to dst the head of a response with a body of
+// bodyLen bytes, first growing dst to hold the whole response; the
+// caller appends the body.
+func appendHead(dst []byte, code int, reason string, bodyLen int, headers ...string) []byte {
 	var hb [128]byte
 	head := appendResponseHead(hb[:0], code, reason, bodyLen, headers...)
-	return append(make([]byte, 0, len(head)+bodyLen), head...)
+	return append(slices.Grow(dst, len(head)+bodyLen), head...)
 }
 
-// pageResponse is BuildResponse(200, "OK", Page(Seed, PageLen)).
-func (s *Server) pageResponse() []byte {
-	if s.page == nil {
-		s.page = appendPage(newResponse(200, "OK", s.cfg.PageLen), s.cfg.Seed, s.cfg.PageLen)
+// page is BuildResponse(200, "OK", Page(Seed, PageLen)) as a
+// tcpstack.Source rendered on demand. Its head and pageHeader are
+// rendered when it is first sent; a Prefix past them draws filler words
+// from rng exactly as appendFiller would, whole words only, the one that
+// reaches footer cut short there, then as much of pageFooter as asked
+// for. So what b holds is never more than a filler word past the longest
+// prefix asked for.
+type page struct {
+	b      []byte    // the rendered prefix
+	total  int       // the length of the whole response
+	footer int       // where pageFooter starts
+	rng    stats.RNG // the filler's generator, as far as b has drawn
+}
+
+// pageSource returns the 200 page, set up on first use.
+func (s *Server) pageSource() *page {
+	p := &s.page
+	if p.total > 0 {
+		return p
 	}
-	return s.page
+	n := max(s.cfg.PageLen, 0)
+	if n <= len(pageHeader)+len(pageFooter) { // no filler: rendered whole
+		p.b = append(appendHead(nil, 200, "OK", n), (pageHeader + pageFooter)[:n]...)
+		p.total = len(p.b)
+		return p
+	}
+	var hb [128]byte
+	head := appendResponseHead(hb[:0], 200, "OK", n)
+	p.total = len(head) + n
+	p.footer = p.total - len(pageFooter)
+	p.rng = *stats.NewRNG(s.cfg.Seed)
+	p.b = append(append(tcpstack.Reserve(nil, len(head)+len(pageHeader), p.total), head...), pageHeader...)
+	return p
+}
+
+// Len implements tcpstack.Source.
+func (p *page) Len() int { return p.total }
+
+// Prefix implements tcpstack.Source, rendering the page up to end.
+func (p *page) Prefix(end int) []byte {
+	if end > len(p.b) {
+		// A word may run its length past end.
+		p.b = tcpstack.Reserve(p.b, min(end+maxWordLen, p.total), p.total)
+		p.b = appendWords(p.b, &p.rng, min(end, p.footer), p.footer)
+		if end > p.footer {
+			p.b = append(p.b, pageFooter[len(p.b)-p.footer:end-p.footer]...)
+		}
+	}
+	return p.b[:end]
 }
 
 // movedResponse is the 301 whose Location the scanner follows.
@@ -211,7 +260,7 @@ func (s *Server) movedResponse() []byte {
 	if s.moved == nil {
 		loc := "http://" + s.cfg.RedirectHost + s.cfg.RedirectPath
 		body := fmt.Sprintf("<html><head><title>301 Moved Permanently</title></head>\n<body><a href=%q>moved here</a></body></html>\n", loc)
-		s.moved = append(newResponse(301, "Moved Permanently", len(body), "Location", loc), body...)
+		s.moved = append(appendHead(nil, 301, "Moved Permanently", len(body), "Location", loc), body...)
 	}
 	return s.moved
 }
@@ -224,30 +273,32 @@ const (
 	errClose = "</body></html>\n"
 )
 
-// notFoundResponse is the 404 page. Without EchoURI it is one memoised
-// response; with it only the filler is, and each page is assembled
-// around the request path in a buffer of its own.
-func (s *Server) notFoundResponse(path []byte) []byte {
-	fill := max(s.cfg.ErrPageLen, 0)
-	if !s.cfg.EchoURI {
-		if s.notFound == nil {
-			b := newResponse(404, "Not Found", len(errOpen)+fill+len(errClose))
-			b = append(b, errOpen...)
-			b = appendFiller(b, s.cfg.Seed, fill)
-			s.notFound = append(b, errClose...)
-		}
-		return s.notFound
+// notFoundResponse is the memoised 404 page that does not echo the URI.
+func (s *Server) notFoundResponse() []byte {
+	if s.notFound == nil {
+		fill := max(s.cfg.ErrPageLen, 0)
+		b := appendHead(nil, 404, "Not Found", len(errOpen)+fill+len(errClose))
+		b = append(b, errOpen...)
+		b = appendFiller(b, s.cfg.Seed, fill)
+		s.notFound = append(b, errClose...)
 	}
+	return s.notFound
+}
+
+// appendEchoNotFound appends the 404 page that echoes path to dst; only
+// its filler is memoised.
+func (s *Server) appendEchoNotFound(dst, path []byte) []byte {
+	fill := max(s.cfg.ErrPageLen, 0)
 	if s.errFiller == nil {
 		s.errFiller = appendFiller(make([]byte, 0, fill), s.cfg.Seed, fill)
 	}
-	b := newResponse(404, "Not Found", len(errOpen)+len(errURL)+len(path)+len(errURL2)+fill+len(errClose))
-	b = append(b, errOpen...)
-	b = append(b, errURL...)
-	b = append(b, path...)
-	b = append(b, errURL2...)
-	b = append(b, s.errFiller...)
-	return append(b, errClose...)
+	dst = appendHead(dst, 404, "Not Found", len(errOpen)+len(errURL)+len(path)+len(errURL2)+fill+len(errClose))
+	dst = append(dst, errOpen...)
+	dst = append(dst, errURL...)
+	dst = append(dst, path...)
+	dst = append(dst, errURL2...)
+	dst = append(dst, s.errFiller...)
+	return append(dst, errClose...)
 }
 
 // hasLetter reports whether s contains an ASCII letter (i.e. looks like
@@ -269,8 +320,9 @@ const (
 )
 
 // Page generates a deterministic HTML-ish page body of exactly n bytes.
-// The server renders its page with appendPage, without the intermediate
-// copies; this function is the reference those bytes are tested against.
+// The server renders its page on demand (see page), without the
+// intermediate copies; this function is the reference those bytes are
+// tested against.
 func Page(seed uint64, n int) []byte {
 	if n <= len(pageHeader)+len(pageFooter) {
 		b := []byte(pageHeader + pageFooter)
@@ -282,18 +334,12 @@ func Page(seed uint64, n int) []byte {
 	return append(body, pageFooter...)
 }
 
-// appendPage appends the n bytes of Page(seed, n) to dst.
-func appendPage(dst []byte, seed uint64, n int) []byte {
-	if n <= len(pageHeader)+len(pageFooter) {
-		return append(dst, (pageHeader + pageFooter)[:n]...)
-	}
-	dst = append(dst, pageHeader...)
-	dst = appendFiller(dst, seed, n-len(pageHeader)-len(pageFooter))
-	return append(dst, pageFooter...)
-}
+// fillerWords are the filler's words, each with its trailing space.
+var fillerWords = [...]string{"lorem ", "ipsum ", "dolor ", "sit ", "amet ", "consectetur ",
+	"adipiscing ", "elit ", "sed ", "do ", "eiusmod ", "tempor ", "incididunt "}
 
-var fillerWords = [...]string{"lorem", "ipsum", "dolor", "sit", "amet", "consectetur",
-	"adipiscing", "elit", "sed", "do", "eiusmod", "tempor", "incididunt"}
+// maxWordLen is the longest of fillerWords, without its space.
+const maxWordLen = len("consectetur")
 
 // filler produces n bytes of deterministic readable text.
 func filler(seed uint64, n int) []byte {
@@ -304,22 +350,25 @@ func filler(seed uint64, n int) []byte {
 	b := make([]byte, 0, n+12)
 	for len(b) < n {
 		b = append(b, fillerWords[rng.Intn(len(fillerWords))]...)
-		b = append(b, ' ')
 	}
 	return b[:n]
 }
 
-// appendFiller appends the n bytes of filler(seed, n) to dst, cutting
-// the last word short instead of writing past the end and slicing back.
+// appendFiller appends the n bytes of filler(seed, n) to dst.
 func appendFiller(dst []byte, seed uint64, n int) []byte {
-	rng := stats.NewRNG(seed)
-	for end := len(dst) + n; len(dst) < end; {
+	return appendWords(dst, stats.NewRNG(seed), len(dst)+n, len(dst)+n)
+}
+
+// appendWords appends filler words drawn from rng until dst is at least
+// stop bytes long, cutting the word that reaches end short there instead
+// of writing past it and slicing back (stop <= end).
+func appendWords(dst []byte, rng *stats.RNG, stop, end int) []byte {
+	for len(dst) < stop {
 		w := fillerWords[rng.Intn(len(fillerWords))]
-		if room := end - len(dst); len(w) >= room {
+		if room := end - len(dst); len(w) > room {
 			return append(dst, w[:room]...)
 		}
 		dst = append(dst, w...)
-		dst = append(dst, ' ')
 	}
 	return dst
 }

@@ -288,6 +288,44 @@ func TestOpenFileSinkSplice(t *testing.T) {
 	}
 }
 
+// TestAppendFileSinkNoPreamble: a resumed stream continues with records
+// only — no second CSV header, no second IWB1 magic — and its length is
+// unknown.
+func TestAppendFileSinkNoPreamble(t *testing.T) {
+	recs := sampleRecords()
+	for _, format := range []string{"csv", "bin"} {
+		var fresh, cont bytes.Buffer
+		first, _ := NewFileSink(&fresh, format, false)
+		second, _ := NewFileSink(&cont, format, true)
+		if err := WriteAll(first, recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteAll(second, recs); err != nil {
+			t.Fatal(err)
+		}
+		sink, err := AppendFileSink(os.DevNull, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := sink.Size(); ok {
+			t.Errorf("%s: a stream reports a length", format)
+		}
+		sink.Close()
+
+		path := filepath.Join(t.TempDir(), "out."+format)
+		if sink, err = AppendFileSink(path, format); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteAll(sink, recs); err != nil {
+			t.Fatal(err)
+		}
+		sink.Close()
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, cont.Bytes()) || bytes.Equal(got, fresh.Bytes()) {
+			t.Errorf("%s: appended %d bytes, want the %d without the preamble (fresh %d)", format, len(got), cont.Len(), fresh.Len())
+		}
+	}
+}
+
 func TestMemorySinkCopiesRecords(t *testing.T) {
 	m := NewMemorySink()
 	r := sampleRecords()[0]

@@ -192,9 +192,20 @@ type FileSink struct {
 // header, IWB1 magic); with at > 0 it continues without one. An unknown
 // format fails before the file is opened.
 func OpenFileSink(path, format string, at int64) (*FileSink, error) {
+	return openFileSink(path, format, at, at > 0)
+}
+
+// AppendFileSink opens path to continue a resumed scan's output where no
+// length was recorded because it is a stream (/dev/null, a pipe): only
+// appended to, and without a second preamble.
+func AppendFileSink(path, format string) (*FileSink, error) {
+	return openFileSink(path, format, 0, true)
+}
+
+func openFileSink(path, format string, at int64, appending bool) (*FileSink, error) {
 	s := &FileSink{SplicedFile: new(SplicedFile)}
 	var err error
-	if s.Sink, err = NewFileSink(s.SplicedFile, format, at > 0); err != nil {
+	if s.Sink, err = NewFileSink(s.SplicedFile, format, appending); err != nil {
 		return nil, err
 	}
 	if err = s.open(path, at); err != nil {

@@ -457,10 +457,12 @@ type Conn struct {
 	iss, sndUna, sndNxt uint32
 	irs, rcvNxt         uint32
 
-	// sndQueue holds all bytes from sndUna upward: first `inflightBytes`
-	// are transmitted-but-unacked, the rest is waiting for window.
-	sndQueue      []byte
+	// The send queue is src from byte acked on: the first inflightBytes
+	// of it are transmitted but unacknowledged, the rest waits for window.
+	src           Source
+	acked         int
 	inflightBytes int
+	wbuf          bytesSource // the Source behind Write
 
 	pendingClose bool // app closed; send FIN once the queue drains
 	finSent      bool
@@ -484,34 +486,102 @@ func (c *Conn) State() string { return c.state.String() }
 // Conn never calls its session again.
 func (c *Conn) Closed() bool { return c.state == stateClosed }
 
-// Write queues application data for transmission. Transmission happens
-// on a zero-delay flush event, so a Write immediately followed by Close
-// (the common server pattern) piggybacks the FIN on the last data
-// segment, as real stacks do.
-//
-// Ownership: the caller must not modify data after Write returns, for
-// as long as the connection lives. When the send queue is empty the
-// connection adopts the slice instead of copying it, and from then on
-// only reads and reslices it — the capacity is clamped to the length,
-// so a later Write appends into a fresh array, never into the caller's.
-// One slice may therefore be written to any number of connections, which
-// is how the app servers send a response they rendered once.
-func (c *Conn) Write(data []byte) {
-	if c.state == stateClosed || c.pendingClose {
+// Source is a payload a connection sends from: Len bytes, rendered only
+// as far as the connection transmits them. Prefix(end) returns the
+// first end bytes (0 < end <= Len). The connection asks for ever longer
+// prefixes as the window opens and again for a retransmission, copies
+// the segment it needs into the outgoing packet at once and keeps no
+// slice past that call, so a Source may move its bytes when it grows;
+// it must never change a byte it has handed out, since any number of
+// connections may be sending from it at once.
+type Source interface {
+	Len() int
+	Prefix(end int) []byte
+}
+
+// firstRoom is the smallest first buffer Reserve gives a Source: an IW
+// burst and the segments a verify ACK releases, at the scan's MSS.
+const firstRoom = 2048
+
+// Reserve returns b, holding the same bytes, with room for need of the
+// total bytes a Source renders on demand. The first buffer has room for
+// firstRoom bytes or need, whichever is more, and each later one for
+// twice the last or need; none for more than total.
+func Reserve(b []byte, need, total int) []byte {
+	if need <= cap(b) {
+		return b
+	}
+	return append(make([]byte, 0, min(total, max(need, 2*cap(b), firstRoom))), b...)
+}
+
+// bytesSource is a Source over bytes rendered in full.
+type bytesSource []byte
+
+func (b *bytesSource) Len() int              { return len(*b) }
+func (b *bytesSource) Prefix(end int) []byte { return (*b)[:end] }
+
+// Send queues src for transmission. Transmission happens on a zero-delay
+// flush event, so a Send immediately followed by Close (the common server
+// pattern) piggybacks the FIN on the last data segment, as real stacks
+// do. The connection reads src until it closes, never past what it
+// transmits, so a Source that renders on demand renders only that.
+func (c *Conn) Send(src Source) {
+	if !c.accepting() {
 		return
 	}
-	if len(c.sndQueue) == 0 {
-		c.sndQueue = data[:len(data):len(data)]
-	} else {
-		c.sndQueue = append(c.sndQueue, data...)
+	if c.queued() == 0 {
+		c.src, c.acked = src, 0
+	} else if n := src.Len(); n > 0 {
+		c.join(src.Prefix(n))
 	}
 	c.scheduleFlush()
+}
+
+// Write queues data for transmission, as Send does, through the
+// connection's own bytesSource. The caller must not modify data
+// afterwards, for as long as the connection lives: the connection sends
+// from the slice itself and never writes through it, so one slice may be
+// written to any number of connections.
+func (c *Conn) Write(data []byte) {
+	if c.queued() == 0 {
+		c.wbuf = data[:len(data):len(data)]
+		c.Send(&c.wbuf)
+	} else if c.accepting() {
+		c.join(data)
+		c.scheduleFlush()
+	}
+}
+
+// join makes the send queue the bytes still queued followed by tail, in
+// a buffer of the connection's own: data queued behind data. Only here
+// is a Source rendered in full, and no caller's array is written.
+func (c *Conn) join(tail []byte) {
+	rest := c.segment(0, c.queued())
+	c.wbuf = append(append(make([]byte, 0, len(rest)+len(tail)), rest...), tail...)
+	c.src, c.acked = &c.wbuf, 0
+}
+
+// accepting reports whether the application may still queue data.
+func (c *Conn) accepting() bool { return c.state != stateClosed && !c.pendingClose }
+
+// queued is the number of bytes in the send queue.
+func (c *Conn) queued() int {
+	if c.src == nil {
+		return 0
+	}
+	return c.src.Len() - c.acked
+}
+
+// segment is the send queue's bytes [from, from+size).
+func (c *Conn) segment(from, size int) []byte {
+	start := c.acked + from
+	return c.src.Prefix(start + size)[start : start+size]
 }
 
 // Close asks the connection to send a FIN once all queued data has been
 // transmitted and acknowledged by congestion/flow control.
 func (c *Conn) Close() {
-	if c.state == stateClosed || c.pendingClose {
+	if !c.accepting() {
 		return
 	}
 	c.pendingClose = true
@@ -671,10 +741,10 @@ func (c *Conn) processAck(tcp *wire.TCPHeader) {
 			c.finAcked = true
 			dataAcked--
 		}
-		if dataAcked > len(c.sndQueue) {
-			dataAcked = len(c.sndQueue)
+		if queued := c.queued(); dataAcked > queued {
+			dataAcked = queued
 		}
-		c.sndQueue = c.sndQueue[dataAcked:]
+		c.acked += dataAcked
 		c.inflightBytes -= dataAcked
 		if c.inflightBytes < 0 {
 			c.inflightBytes = 0
@@ -783,7 +853,7 @@ func (c *Conn) trySend() {
 	}
 	sentAny := false
 	for {
-		avail := len(c.sndQueue) - c.inflightBytes
+		avail := c.queued() - c.inflightBytes
 		if avail <= 0 {
 			break
 		}
@@ -802,11 +872,10 @@ func (c *Conn) trySend() {
 			size = room
 		}
 		start := c.inflightBytes
-		payload := c.sndQueue[start : start+size]
 		seq := c.sndUna + uint32(start)
-		last := start+size == len(c.sndQueue)
+		last := start+size == c.queued()
 		fin := last && c.pendingClose && !c.finSent
-		c.sendData(seq, payload, fin, last)
+		c.sendData(seq, c.segment(start, size), fin, last)
 		c.inflightBytes += size
 		c.sndNxt = c.sndUna + uint32(c.inflightBytes)
 		if fin {
@@ -821,7 +890,7 @@ func (c *Conn) trySend() {
 	// whose response exactly fills the IW therefore cannot emit its FIN
 	// until the peer acknowledges — which is precisely why receiving a
 	// FIN tells the scanner the IW was not exhausted.
-	if c.pendingClose && !c.finSent && c.inflightBytes == len(c.sndQueue) {
+	if c.pendingClose && !c.finSent && c.inflightBytes == c.queued() {
 		room := c.cwnd - c.inflightBytes
 		if wnd := c.peerWnd - c.inflightBytes; wnd < room {
 			room = wnd
@@ -901,8 +970,8 @@ func (c *Conn) onRetxTimeout() {
 		c.note("tcp.rto_retransmit", int64(c.retries), int64(c.sndUna-c.iss))
 		// The retransmitted first segment carries the FIN only when it
 		// is also the last (FIN was piggybacked on it originally).
-		fin := c.finSent && size == c.inflightBytes && c.inflightBytes == len(c.sndQueue)
-		c.sendData(c.sndUna, c.sndQueue[:size], fin, size == c.inflightBytes)
+		fin := c.finSent && size == c.inflightBytes && c.inflightBytes == c.queued()
+		c.sendData(c.sndUna, c.segment(0, size), fin, size == c.inflightBytes)
 	case c.finSent && !c.finAcked:
 		c.note("tcp.rto_fin", int64(c.retries), int64(c.rto))
 		c.sendData(c.sndNxt-1, nil, true, true)

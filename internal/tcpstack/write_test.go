@@ -8,10 +8,25 @@ import (
 	"iwscan/internal/wire"
 )
 
-// memoApp answers every connection with the same memo slice, then a
-// tail, the way an app server replays a response it rendered once.
+// sliceSource is a Source over a caller's array that notes the longest
+// prefix it was asked for.
+type sliceSource struct {
+	b       []byte
+	highest int
+}
+
+func (s *sliceSource) Len() int { return len(s.b) }
+
+func (s *sliceSource) Prefix(end int) []byte {
+	s.highest = max(s.highest, end)
+	return s.b[:end]
+}
+
+// memoApp answers every connection from the same source, then a tail,
+// the way an app server replays a response it renders once.
 type memoApp struct {
-	memo, tail []byte
+	memo *sliceSource
+	tail []byte
 }
 
 func (a *memoApp) NewSession(c *Conn) Session { return &memoSession{app: a, conn: c} }
@@ -22,26 +37,28 @@ type memoSession struct {
 }
 
 func (s *memoSession) OnData([]byte) {
-	s.conn.Write(s.app.memo) // the queue is empty: adopted, not copied
-	s.conn.Write(s.app.tail) // must land in an array of the connection's own
+	s.conn.Send(s.app.memo)
+	if s.app.tail != nil {
+		s.conn.Write(s.app.tail) // joins the queue in an array of the connection's own
+	}
 }
 
 func (s *memoSession) OnPeerClose() {}
 
-// TestWriteAdoptsWithoutAliasing pins Conn.Write's ownership contract.
-// The first Write of a connection adopts the caller's slice; nothing the
-// connection does afterwards — a second Write, a retransmission, the
-// ACKs that advance the queue, a second connection sharing the slice —
-// may change one byte of the caller's array, including the spare
-// capacity behind the slice, which is what the clamp protects.
+// TestWriteAdoptsWithoutAliasing pins the ownership contract of Send and
+// Write. Nothing a connection does — a Write behind a queued Source, a
+// retransmission, the ACKs that advance the queue, a second connection
+// sending from the same Source — may change one byte of the caller's
+// array, including the spare capacity behind the Source's slice, which a
+// join must not append into.
 func TestWriteAdoptsWithoutAliasing(t *testing.T) {
 	backing := make([]byte, 1000)
 	for i := range backing {
 		backing[i] = byte(i*7 + 1)
 	}
 	pristine := append([]byte(nil), backing...)
-	app := &memoApp{memo: backing[:300], tail: bytes.Repeat([]byte{0xEE}, 200)}
-	want := append(append([]byte(nil), app.memo...), app.tail...)
+	app := &memoApp{memo: &sliceSource{b: backing[:300]}, tail: bytes.Repeat([]byte{0xEE}, 200)}
+	want := append(append([]byte(nil), app.memo.b...), app.tail...)
 
 	for conn := 0; conn < 2; conn++ {
 		n, host, c := setup(t, Config{IW: IWPolicy{Kind: IWSegments, Segments: 2}}, app)
@@ -72,17 +89,47 @@ func TestWriteAdoptsWithoutAliasing(t *testing.T) {
 }
 
 // TestWriteAdoptsEmptyQueue: a connection with nothing queued sends
-// straight from the caller's slice.
+// straight from the caller's slice, through its own bytesSource, with the
+// capacity clamped to the length.
 func TestWriteAdoptsEmptyQueue(t *testing.T) {
-	app := &memoApp{memo: make([]byte, 300, 1000)}
+	memo := make([]byte, 300, 1000)
+	app := &memoApp{memo: &sliceSource{}, tail: memo}
 	n, host, c := setup(t, Config{IW: IWPolicy{Kind: IWSegments, Segments: 2}}, app)
 	handshake(t, n, c, 64, 65535, []byte("x"))
-	for _, sc := range host.conns {
-		if &sc.sndQueue[0] != &app.memo[0] || cap(sc.sndQueue) != len(app.memo) {
-			t.Fatalf("queue is not the caller's slice clamped to its length (cap %d)", cap(sc.sndQueue))
-		}
-	}
 	if len(host.conns) != 1 {
 		t.Fatalf("%d connections, want 1", len(host.conns))
+	}
+	sc := host.conns[0]
+	if sc.src != &sc.wbuf || &sc.wbuf[0] != &memo[0] || cap(sc.wbuf) != len(memo) {
+		t.Fatalf("queue is not the caller's slice clamped to its length (cap %d)", cap(sc.wbuf))
+	}
+}
+
+// TestSendReadsOnlyWhatItSends: a connection asks its Source for no
+// more than the bytes it has put on the wire — the IW burst, then what
+// each ACK releases, and a retransmission asks for nothing new.
+func TestSendReadsOnlyWhatItSends(t *testing.T) {
+	src := &sliceSource{b: make([]byte, 5000)}
+	n, _, c := setup(t, Config{IW: IWPolicy{Kind: IWSegments, Segments: 4}}, &memoApp{memo: src})
+	iss := handshake(t, n, c, 64, 65535, []byte("x"))
+	sent := func() int {
+		hi := 0
+		for _, seg := range c.dataSegs() {
+			hi = max(hi, int(seg.hdr.Seq-(iss+1))+len(seg.data))
+		}
+		return hi
+	}
+	if hi := sent(); hi != 4*64 || src.highest != hi {
+		t.Fatalf("IW burst: %d bytes sent, source asked for %d, want both 256", hi, src.highest)
+	}
+	n.Run(n.Now() + 1500*netsim.Millisecond) // the RTO resends the first segment
+	if src.highest != 4*64 {
+		t.Fatalf("after a retransmission the source was asked for %d bytes, want still 256", src.highest)
+	}
+	// An ACK of two segments with a 3-segment window releases one more.
+	c.sendSeg(c.isn+2, iss+1+128, wire.FlagACK, 3*64, nil)
+	n.Run(n.Now() + 10*netsim.Millisecond)
+	if hi := sent(); hi != 5*64 || src.highest != hi {
+		t.Fatalf("after the ACK: %d bytes sent, source asked for %d, want both 320", hi, src.highest)
 	}
 }

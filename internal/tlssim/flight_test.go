@@ -103,31 +103,70 @@ func TestFlightMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFlightRenderedOnce: the second identical request is handed the
-// very slice the first one rendered.
+// TestFlightRenderedOnce: each (suite, status) pair has one memo, which
+// every connection asking for it shares, and which renders, in any order
+// of requests, exactly the longest prefix asked for, record headers
+// included, and those bytes are the reference encoding's.
 func TestFlightRenderedOnce(t *testing.T) {
-	srv := NewServer(ServerConfig{ChainLen: 3000, OCSPStaple: true, Seed: 5})
+	cfg := ServerConfig{ChainLen: 3000, OCSPStaple: true, Seed: 5}
+	srv := NewServer(cfg)
 	a, b := srv.firstFlight(0xc02c, true), srv.firstFlight(0xc02c, true)
-	if &a[0] != &b[0] || len(a) != len(b) {
-		t.Fatal("the same (suite, status) pair was rendered twice")
+	if a != b {
+		t.Fatal("the same (suite, status) pair has two memos")
 	}
-	if c := srv.firstFlight(0xc02c, false); &c[0] == &a[0] || len(c) >= len(a) {
+	if c := srv.firstFlight(0xc02c, false); c == a || c.Len() >= a.Len() {
 		t.Fatal("the flight without a status message shares the stapled one's memo")
 	}
-	if got := FirstFlightLen(3000, true, 1500); len(a) != got || cap(a) != got {
-		t.Fatalf("flight is %d bytes in a buffer of %d, FirstFlightLen says %d", len(a), cap(a), got)
+	if got := FirstFlightLen(3000, true, 1500); a.Len() != got {
+		t.Fatalf("flight is %d bytes, FirstFlightLen says %d", a.Len(), got)
+	}
+	if len(a.b) != 0 {
+		t.Fatalf("a memo nobody sent from holds %d bytes", len(a.b))
+	}
+
+	rng := stats.NewRNG(7)
+	for _, c := range []ServerConfig{
+		{ChainLen: 36, Seed: 1}, // one certificate, one record
+		{ChainLen: 2, Seed: 2},  // a certificate too short for its DER header
+		{ChainLen: 2200, OCSPStaple: true, OCSPLen: 900, Seed: 3}, // three certificates and a status
+		{ChainLen: 16323, Seed: 4},                                // a second record of one byte
+		{ChainLen: 40000, OCSPStaple: true, Seed: 5},              // three records
+	} {
+		want := referenceFlight(c, 0x002f, c.OCSPStaple)
+		f := NewServer(c).firstFlight(0x002f, c.OCSPStaple)
+		if f.Len() != len(want) {
+			t.Fatalf("chain %d: Len %d, reference %d bytes", c.ChainLen, f.Len(), len(want))
+		}
+		ends := make([]int, len(want))
+		for i := range ends {
+			ends[i] = i + 1
+		}
+		for i := len(ends) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			ends[i], ends[j] = ends[j], ends[i]
+		}
+		longest := 0
+		for _, end := range ends {
+			longest = max(longest, end)
+			if got := f.Prefix(end); !bytes.Equal(got, want[:end]) {
+				t.Fatalf("chain %d: Prefix(%d) differs from the reference", c.ChainLen, end)
+			}
+			if len(f.b) != longest {
+				t.Fatalf("chain %d: Prefix(%d) left %d bytes rendered, the longest asked for is %d", c.ChainLen, end, len(f.b), longest)
+			}
+		}
 	}
 }
 
 // TestFlightRecordBoundary pins the two sizes around a full record.
 func TestFlightRecordBoundary(t *testing.T) {
 	one := NewServer(ServerConfig{ChainLen: 16322}).firstFlight(0x002f, false)
-	if len(one) != 5+MaxRecordLen {
-		t.Fatalf("16322-byte chain: flight is %d bytes, want one full record (%d)", len(one), 5+MaxRecordLen)
+	if one.Len() != 5+MaxRecordLen {
+		t.Fatalf("16322-byte chain: flight is %d bytes, want one full record (%d)", one.Len(), 5+MaxRecordLen)
 	}
 	two := NewServer(ServerConfig{ChainLen: 16323}).firstFlight(0x002f, false)
-	if len(two) != 5+MaxRecordLen+5+1 {
-		t.Fatalf("16323-byte chain: flight is %d bytes, want a full record and a one-byte one (%d)", len(two), 5+MaxRecordLen+5+1)
+	if two.Len() != 5+MaxRecordLen+5+1 {
+		t.Fatalf("16323-byte chain: flight is %d bytes, want a full record and a one-byte one (%d)", two.Len(), 5+MaxRecordLen+5+1)
 	}
 }
 

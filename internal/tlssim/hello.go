@@ -2,6 +2,7 @@ package tlssim
 
 import (
 	"encoding/binary"
+	"slices"
 )
 
 // DefaultCipherSuites is the 40-suite list §3.3 describes: the union of
@@ -108,40 +109,44 @@ func EncodeClientHello(ch *ClientHello) []byte {
 // DecodeClientHello parses a ClientHello message body.
 func DecodeClientHello(b []byte) (*ClientHello, error) {
 	ch := &ClientHello{}
+	if err := decodeClientHelloInto(ch, b); err != nil {
+		return nil, err
+	}
+	return ch, nil
+}
+
+// decodeClientHelloInto parses a ClientHello message body into ch,
+// reusing the arrays of its SessionID, CipherSuites and Extensions. The
+// extensions' data point into b.
+func decodeClientHelloInto(ch *ClientHello, b []byte) error {
 	if len(b) < 2+32+1 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	ch.Version = binary.BigEndian.Uint16(b[0:2])
 	copy(ch.Random[:], b[2:34])
 	b = b[34:]
 	sidLen := int(b[0])
 	if len(b) < 1+sidLen+2 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	ch.SessionID = append([]byte(nil), b[1:1+sidLen]...)
+	ch.SessionID = append(ch.SessionID[:0], b[1:1+sidLen]...)
 	b = b[1+sidLen:]
 	csLen := int(binary.BigEndian.Uint16(b[0:2]))
 	if csLen%2 != 0 || len(b) < 2+csLen+1 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	if csLen > 0 {
-		ch.CipherSuites = make([]uint16, 0, csLen/2)
-	}
+	ch.CipherSuites = slices.Grow(ch.CipherSuites[:0], csLen/2)
 	for i := 0; i < csLen; i += 2 {
 		ch.CipherSuites = append(ch.CipherSuites, binary.BigEndian.Uint16(b[2+i:4+i]))
 	}
 	b = b[2+csLen:]
 	compLen := int(b[0])
 	if len(b) < 1+compLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	b = b[1+compLen:]
-	exts, err := decodeExtensions(b)
-	if err != nil {
-		return nil, err
-	}
-	ch.Extensions = exts
-	return ch, nil
+	var err error
+	ch.Extensions, err = appendExtensions(ch.Extensions[:0], b[1+compLen:])
+	return err
 }
 
 // ServerHello is the decoded form of a ServerHello message.
@@ -182,7 +187,7 @@ func DecodeServerHello(b []byte) (*ServerHello, error) {
 	b = b[1+sidLen:]
 	sh.CipherSuite = binary.BigEndian.Uint16(b[0:2])
 	b = b[3:] // skip compression byte
-	exts, err := decodeExtensions(b)
+	exts, err := appendExtensions(nil, b)
 	if err != nil {
 		return nil, err
 	}

@@ -179,28 +179,29 @@ func encodeExtensions(dst []byte, exts []Extension) []byte {
 	return dst
 }
 
-func decodeExtensions(b []byte) ([]Extension, error) {
+// appendExtensions appends the extensions encoded in b to exts; their
+// data point into b.
+func appendExtensions(exts []Extension, b []byte) ([]Extension, error) {
 	if len(b) == 0 {
-		return nil, nil
+		return exts, nil
 	}
 	if len(b) < 2 {
-		return nil, ErrTruncated
+		return exts, ErrTruncated
 	}
 	total := int(binary.BigEndian.Uint16(b[0:2]))
 	b = b[2:]
 	if len(b) < total {
-		return nil, ErrTruncated
+		return exts, ErrTruncated
 	}
 	b = b[:total]
-	var exts []Extension
 	for len(b) > 0 {
 		if len(b) < 4 {
-			return nil, ErrTruncated
+			return exts, ErrTruncated
 		}
 		typ := binary.BigEndian.Uint16(b[0:2])
 		n := int(binary.BigEndian.Uint16(b[2:4]))
 		if len(b) < 4+n {
-			return nil, ErrTruncated
+			return exts, ErrTruncated
 		}
 		exts = append(exts, Extension{Type: typ, Data: b[4 : 4+n]})
 		b = b[4+n:]

@@ -46,26 +46,20 @@ type ServerConfig struct {
 //
 // The flight is a pure function of the ServerConfig, the suite picked
 // and whether the client asked for a stapled status, so each variant is
-// rendered once, on first use, in its final record framing, and every
-// later connection is handed that same slice: tcpstack's Conn.Write
-// adopts it without a copy and never writes through it (see "Payload
-// ownership" in DESIGN.md). The memo is not synchronised: a Server
-// belongs to the one tcpstack.Host it listens on, hence to one
-// netsim.Network and its one goroutine, and lives as long as that host.
+// one memo, a tcpstack.Source every later connection sends from too
+// (see "Payload ownership" in DESIGN.md). A memo is rendered on demand,
+// in its final record framing, and only as far as a connection has
+// transmitted: for the scanner, the IW and the few segments its verify
+// ACK releases. The memos are not synchronised: a Server belongs to the
+// one tcpstack.Host it listens on, hence to one netsim.Network and its
+// one goroutine, and lives as long as that host.
 //
 // A Server also carries one session, which each connection takes while
 // the connection it last served is closed.
 type Server struct {
 	cfg     ServerConfig
-	flights []flight
+	flights []*flight
 	session serverSession
-}
-
-// flight is one memoised first flight.
-type flight struct {
-	suite  uint16
-	status bool // carries a CertificateStatus message
-	wire   []byte
 }
 
 // NewServer returns a TLS server app with the given behaviour.
@@ -92,15 +86,16 @@ func (s *Server) NewSession(c *tcpstack.Conn) tcpstack.Session {
 	if ss.conn != nil && ss.conn != c && !ss.conn.Closed() {
 		ss = new(serverSession)
 	}
-	*ss = serverSession{srv: s, conn: c, buf: ss.buf[:0]}
+	*ss = serverSession{srv: s, conn: c, buf: ss.buf[:0], hello: ss.hello}
 	return ss
 }
 
 type serverSession struct {
-	srv  *Server
-	conn *tcpstack.Conn
-	buf  []byte // the hello record so far, while it spans segments
-	done bool
+	srv   *Server
+	conn  *tcpstack.Conn
+	buf   []byte      // the hello record so far, while it spans segments
+	hello ClientHello // decoded into the arrays of the session's last hello
+	done  bool
 }
 
 func (ss *serverSession) OnPeerClose() {}
@@ -132,13 +127,12 @@ func (ss *serverSession) OnData(data []byte) {
 		ss.fatal(AlertInternalError)
 		return
 	}
-	ch, err := DecodeClientHello(hs.Body)
-	if err != nil {
+	if err := decodeClientHelloInto(&ss.hello, hs.Body); err != nil {
 		ss.fatal(AlertInternalError)
 		return
 	}
 	ss.done = true
-	ss.respond(ch)
+	ss.respond(&ss.hello)
 }
 
 func (ss *serverSession) fatal(desc byte) {
@@ -172,85 +166,117 @@ func (ss *serverSession) respond(ch *ClientHello) {
 		suite = ch.CipherSuites[0]
 	}
 
-	ss.conn.Write(ss.srv.firstFlight(suite, cfg.OCSPStaple && ch.HasExtension(ExtStatusRequest)))
+	ss.conn.Send(ss.srv.firstFlight(suite, cfg.OCSPStaple && ch.HasExtension(ExtStatusRequest)))
 	// The server now waits for ClientKeyExchange; it does not close, so
 	// an IW-limited host keeps data queued and never FINs early.
 }
 
-// firstFlight returns the memoised ServerHello, Certificate, optional
+// firstFlight returns the memo of the ServerHello, Certificate, optional
 // CertificateStatus and ServerHelloDone, fragmented across records of
 // at most MaxRecordLen.
-func (s *Server) firstFlight(suite uint16, status bool) []byte {
+func (s *Server) firstFlight(suite uint16, status bool) *flight {
 	for _, f := range s.flights {
 		if f.suite == suite && f.status == status {
-			return f.wire
+			return f
 		}
 	}
-	wire := s.renderFlight(suite, status)
-	s.flights = append(s.flights, flight{suite: suite, status: status, wire: wire})
-	return wire
+	f := &flight{cfg: &s.cfg, suite: suite, status: status, rng: *stats.NewRNG(s.cfg.Seed)}
+	certLens, nCerts := chainSplit(s.cfg.ChainLen)
+	f.msgs = 4 + helloLen + 4 + ChainWireLen(certLens[:nCerts]) + 4
+	if status {
+		f.msgs += 4 + s.cfg.OCSPLen
+	}
+	s.flights = append(s.flights, f)
+	return f
 }
 
 // helloLen is the ServerHello body: version, random, empty session ID,
 // suite, null compression, no extensions.
 const helloLen = 2 + 32 + 1 + 2 + 1
 
-// renderFlight renders the flight into one buffer of its final size:
-// the messages are appended behind the room all the record headers
-// need, then each record's payload is moved down behind its own header,
-// front to back, so a payload only ever moves over bytes already framed.
-func (s *Server) renderFlight(suite uint16, status bool) []byte {
-	certLens, nCerts := chainSplit(s.cfg.ChainLen)
-	chainBody := 3
-	for _, n := range certLens[:nCerts] {
-		chainBody += 3 + n
-	}
-	msgs := 4 + helloLen + 4 + chainBody + 4
-	if status {
-		msgs += 4 + s.cfg.OCSPLen
-	}
-	records := (msgs + MaxRecordLen - 1) / MaxRecordLen
+// recordSize is the wire length of a full record.
+const recordSize = 5 + MaxRecordLen
 
-	rng := stats.NewRNG(s.cfg.Seed)
-	b := make([]byte, 5*records, 5*records+msgs)
-	b = appendUint24(append(b, HandshakeServerHello), helloLen)
-	b = append(b, byte(VersionTLS12>>8), byte(VersionTLS12&0xff))
-	for i := 0; i < 32; i++ {
-		b = append(b, byte(rng.Uint64()))
-	}
-	b = append(b, 0, byte(suite>>8), byte(suite), 0) // no session ID, the suite, null compression
-
-	b = appendUint24(append(b, HandshakeCertificate), chainBody)
-	b = appendUint24(b, chainBody-3)
-	for _, n := range certLens[:nCerts] {
-		b = appendUint24(b, n)
-		b = b[:len(b)+n]
-		fillCert(rng, b[len(b)-n:])
-	}
-	if status {
-		b = appendUint24(append(b, HandshakeCertificateStatus), s.cfg.OCSPLen)
-		for i := 0; i < s.cfg.OCSPLen; i++ {
-			b = append(b, byte(rng.Uint64()))
-		}
-	}
-	b = appendUint24(append(b, HandshakeServerHelloDone), 0)
-
-	for r := 0; r < records; r++ {
-		payload := b[5*records+r*MaxRecordLen:]
-		if len(payload) > MaxRecordLen {
-			payload = payload[:MaxRecordLen]
-		}
-		rec := b[r*(5+MaxRecordLen):]
-		rec[0] = RecordHandshake
-		rec[1], rec[2] = byte(VersionTLS12>>8), byte(VersionTLS12&0xff)
-		rec[3], rec[4] = byte(len(payload)>>8), byte(len(payload))
-		copy(rec[5:], payload)
-	}
-	return b
+// flight is one first flight as a tcpstack.Source rendered on demand,
+// exactly as far as the longest prefix asked for: each record header at
+// its known offset, the handshake messages in between, their random
+// bytes drawn from rng in the order the reference encoding draws them.
+type flight struct {
+	cfg    *ServerConfig
+	suite  uint16
+	status bool      // carries a CertificateStatus message
+	msgs   int       // the length of the handshake messages
+	b      []byte    // the rendered prefix
+	rng    stats.RNG // as far as b has drawn
 }
 
-func appendUint24(b []byte, n int) []byte {
-	return append(b, byte(n>>16), byte(n>>8), byte(n))
+// Len implements tcpstack.Source.
+func (f *flight) Len() int { return f.msgs + 5*((f.msgs+MaxRecordLen-1)/MaxRecordLen) }
+
+// Prefix implements tcpstack.Source, rendering the flight up to end.
+func (f *flight) Prefix(end int) []byte {
+	if end <= len(f.b) {
+		return f.b[:end]
+	}
+	f.b = tcpstack.Reserve(f.b, end, f.Len())
+	for len(f.b) < end {
+		r, off := len(f.b)/recordSize, len(f.b)%recordSize
+		if off < 5 {
+			n := min(MaxRecordLen, f.msgs-r*MaxRecordLen)
+			hdr := [5]byte{RecordHandshake, byte(VersionTLS12 >> 8), byte(VersionTLS12 & 0xff), byte(n >> 8), byte(n)}
+			f.b = append(f.b, hdr[off:min(5, off+end-len(f.b))]...)
+			continue
+		}
+		from := r*MaxRecordLen + off - 5
+		f.b = f.appendMessages(f.b, from, from+min(end, (r+1)*recordSize)-len(f.b))
+	}
+	return f.b[:end]
+}
+
+// appendMessages appends the handshake messages' bytes [from, to) to
+// dst, drawing from f.rng the random bytes among them; from must be
+// where the last call stopped. It walks the messages in wire order, as
+// the reference encoding writes them, and emits what falls in range.
+func (f *flight) appendMessages(dst []byte, from, to int) []byte {
+	at := 0 // the offset of the piece being walked
+	lit := func(b ...byte) {
+		if lo, hi := max(from, at), min(to, at+len(b)); lo < hi {
+			dst = append(dst, b[lo-at:hi-at]...)
+		}
+		at += len(b)
+	}
+	// draw is n random bytes; as fillCert does, a certificate's first
+	// four are its certHeader, drawn over.
+	draw := func(n int, cert bool) {
+		for i := max(from, at) - at; i < min(to-at, n); i++ {
+			c := byte(f.rng.Uint64())
+			if cert && n >= 4 && i < 4 {
+				c = certHeader(n)[i]
+			}
+			dst = append(dst, c)
+		}
+		at += n
+	}
+	u24 := func(typ byte, n int) { lit(typ, byte(n>>16), byte(n>>8), byte(n)) }
+
+	u24(HandshakeServerHello, helloLen)
+	lit(byte(VersionTLS12>>8), byte(VersionTLS12&0xff))
+	draw(32, false)
+	lit(0, byte(f.suite>>8), byte(f.suite), 0) // no session ID, the suite, null compression
+	certLens, nCerts := chainSplit(f.cfg.ChainLen)
+	chainBody := ChainWireLen(certLens[:nCerts])
+	u24(HandshakeCertificate, chainBody)
+	lit(byte((chainBody-3)>>16), byte((chainBody-3)>>8), byte(chainBody-3))
+	for _, n := range certLens[:nCerts] {
+		lit(byte(n>>16), byte(n>>8), byte(n))
+		draw(n, true)
+	}
+	if f.status {
+		u24(HandshakeCertificateStatus, f.cfg.OCSPLen)
+		draw(f.cfg.OCSPLen, false)
+	}
+	u24(HandshakeServerHelloDone, 0)
+	return dst
 }
 
 // GenerateChain produces a deterministic pseudo-DER certificate chain
@@ -287,18 +313,22 @@ func chainSplit(totalLen int) (lens [3]int, n int) {
 }
 
 // fillCert fills b with bytes that start like a DER SEQUENCE, so
-// traffic looks plausible in a packet capture.
+// traffic looks plausible in a packet capture: one draw per byte, the
+// first four drawn over by certHeader.
 func fillCert(rng *stats.RNG, b []byte) {
 	for i := range b {
 		b[i] = byte(rng.Uint64())
 	}
-	if n := len(b); n >= 4 {
-		b[0] = 0x30 // SEQUENCE
-		b[1] = 0x82 // long form, 2 length bytes
-		inner := n - 4
-		b[2] = byte(inner >> 8)
-		b[3] = byte(inner)
+	if len(b) >= 4 {
+		h := certHeader(len(b))
+		copy(b, h[:])
 	}
+}
+
+// certHeader is the start of an n-byte certificate (n >= 4): a SEQUENCE
+// with a 2-byte long-form length.
+func certHeader(n int) [4]byte {
+	return [4]byte{0x30, 0x82, byte((n - 4) >> 8), byte(n - 4)}
 }
 
 // ChainLenDist models the censys.io certificate-chain length

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // Protocol numbers used in the IPv4 header (RFC 790 / IANA).
@@ -66,7 +67,19 @@ func MustParseAddr(s string) Addr {
 
 // String renders the address in dotted-quad form.
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	var b [len("255.255.255.255")]byte
+	return string(a.AppendTo(b[:0]))
+}
+
+// AppendTo appends the dotted-quad form of a to dst.
+func (a Addr) AppendTo(dst []byte) []byte {
+	for shift := 24; shift >= 0; shift -= 8 {
+		dst = strconv.AppendUint(dst, uint64(byte(a>>shift)), 10)
+		if shift > 0 {
+			dst = append(dst, '.')
+		}
+	}
+	return dst
 }
 
 // Prefix is an IPv4 CIDR prefix.

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -14,6 +15,21 @@ func TestAddrRoundTrip(t *testing.T) {
 		}
 		if a.String() != s {
 			t.Fatalf("round trip %q -> %q", s, a.String())
+		}
+	}
+}
+
+// TestAddrAppendTo: AppendTo renders what fmt's dotted quad does, after
+// whatever dst holds, without allocating into a buffer with room.
+func TestAddrAppendTo(t *testing.T) {
+	buf := make([]byte, 0, 32)
+	for _, a := range []Addr{0, 0xffffffff, 0xc0000201, 0x0a000a64, AddrFrom4(9, 99, 100, 0)} {
+		want := fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+		if got := string(a.AppendTo([]byte("x"))); got != "x"+want {
+			t.Errorf("AppendTo(%#x) = %q, want %q", uint32(a), got, "x"+want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { buf = a.AppendTo(buf[:0]) }); allocs != 0 {
+			t.Errorf("AppendTo(%#x) allocated %.0f times", uint32(a), allocs)
 		}
 	}
 }
